@@ -137,16 +137,27 @@ def fmt(x) -> str:
     return str(x)
 
 
+def _mpt_level(key, value) -> int:
+    """The level after the colon of ``shift:<level>`` or ``cycle:<level>``."""
+    try:
+        level = int(value.split(":", 1)[1])
+    except ValueError:
+        raise ConfigError(f"bad level for {key!r}: {value!r}") from None
+    if level < 0:
+        raise ConfigError(f"negative level for {key!r}: {value!r}")
+    return level
+
+
 def _mpt_from_config(cfg, key, rng=None) -> DyadicMPT:
     value = cfg.get(key, "")
     if value.startswith("mpt"):
         return parse_mpt(value)
     if value.startswith("shift:"):
-        return DyadicMPT.shift(int(value.split(":", 1)[1]))
+        return DyadicMPT.shift(_mpt_level(key, value))
     if value.startswith("cycle:"):
         if rng is None:
             raise ConfigError(f"{key}: seeded cycle needs a seed")
-        return rand_full_cycle(rng, int(value.split(":", 1)[1]))
+        return rand_full_cycle(rng, _mpt_level(key, value))
     raise ConfigError(
         f"{key!r} must be 'mpt <level> <images>', 'shift:<level>' or 'cycle:<level>'"
     )
@@ -388,11 +399,9 @@ def emit(rows, command, digest, fmt_name, stream, runtime):
         for row in decorated:
             stream.write(json.dumps(row, sort_keys=False) + "\n")
     else:
-        keys: list[str] = []
-        for row in decorated:
-            for k in row:
-                if k not in keys:
-                    keys.append(k)
+        # columns in order of first appearance, the runtime column last
+        keys = list(dict.fromkeys(k for row in decorated for k in row))
+        keys.sort(key=lambda k: k == "runtime_s")
         writer = csv.DictWriter(stream, fieldnames=keys, restval="")
         writer.writeheader()
         writer.writerows(decorated)
@@ -416,7 +425,8 @@ def run_command(command: str, cfg: dict[str, str], seed=None, fmt_name="csv", ou
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-    status = 0 if all(r.get("pass", False) for r in rows) else 1
+    # an empty report proves nothing, so it fails
+    status = 0 if rows and all(r.get("pass", False) for r in rows) else 1
     return status, text
 
 

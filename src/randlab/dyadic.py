@@ -30,12 +30,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def interval_bounds(level: int, index: int) -> tuple[Fraction, Fraction]:
-    """Endpoints of dyadic interval ``index`` at ``level``."""
-    w = Fraction(1, 2 ** level)
-    return index * w, (index + 1) * w
-
-
 def point_interval(level: int, omega: Fraction) -> int:
     """Index of the level-``level`` interval containing ``omega``."""
     if not 0 <= omega < 1:
@@ -116,9 +110,6 @@ class DyadicSet:
         return DyadicSet(
             self.level, frozenset(range(2 ** self.level)) - self.members
         )
-
-    def contains_point(self, omega: Fraction) -> bool:
-        return point_interval(self.level, omega) in self.members
 
 
 # ---------------------------------------------------------------------------
@@ -274,29 +265,6 @@ class DyadicMPT:
             if len(cyc) == k:
                 members.update(cyc)
         return DyadicSet(self.level, frozenset(members))
-
-
-def mpt_compose(t: DyadicMPT, r: DyadicMPT) -> DyadicMPT:
-    return t * r
-
-def mpt_inverse(t: DyadicMPT) -> DyadicMPT:
-    return t.inverse()
-
-def mpt_refine(t: DyadicMPT, level: int) -> DyadicMPT:
-    return t.refine(level)
-
-
-def mpt_cycles(t: DyadicMPT, aperiodicity: int | None = None):
-    """Cycle decomposition report.
-
-    Returns ``(cycles, census, n_aperiodic)`` where ``census`` maps cycle
-    length to count and ``n_aperiodic`` states whether every cycle has
-    length at least ``aperiodicity`` (None when not asked).
-    """
-    cycles = t.cycles(include_fixed=True)
-    census = t.cycle_census()
-    flag = None if aperiodicity is None else t.min_cycle_length() >= aperiodicity
-    return cycles, census, flag
 
 
 # ---------------------------------------------------------------------------

@@ -155,18 +155,6 @@ def isometry_du(a: SpaceIsometry, b: SpaceIsometry) -> Fraction:
     return max(d[i][j] for i, j in zip(a.mapping, b.mapping))
 
 
-def isometry_dp(a: SpaceIsometry, b: SpaceIsometry) -> Fraction:
-    """Pointwise metric over the canonical point enumeration."""
-    if a.space != b.space:
-        raise MismatchedSpace("isometries of different spaces")
-    d = a.space.distances
-    return sum(
-        (Fraction(1, 2 ** (k + 1)) * d[i][j]
-         for k, (i, j) in enumerate(zip(a.mapping, b.mapping))),
-        Fraction(0),
-    )
-
-
 def nat_discrete(a: int, b: int) -> Fraction:
     """Discrete metric on the naturals."""
     return Fraction(0) if a == b else Fraction(1)

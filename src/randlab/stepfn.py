@@ -4,7 +4,8 @@ A :class:`StepFn` is constant on each interval of a dyadic partition.  With
 group values it models a random group element; with point values it models
 a random point of the acted-on space.  Refining the partition replicates
 values and changes nothing observable; all binary operations refine both
-operands to a common level first.
+operands to a common level first.  :data:`VALUE_KINDS` records what the
+randomization needs from each kind of group value.
 """
 
 from __future__ import annotations
@@ -24,9 +25,62 @@ from .groups import (
     perm_du,
     window_du,
 )
-from .spaces import FiniteMetricSpace, SpaceIsometry
+from .spaces import SpaceIsometry, isometry_du, nat_discrete, space_identity
 
 Metric = Callable[[object, object], Fraction]
+
+
+# ---------------------------------------------------------------------------
+# Value kinds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ValueKind:
+    """What the randomization needs to know about one kind of fiber value.
+
+    The transfer arguments treat every base structure alike; this record
+    is where the two modelled ones differ.  Each callable takes a value
+    ``v`` of the kind first, since the acted-on space of an isometry is
+    read from the value itself.
+    """
+
+    discrete: bool                                 # acted-on space is discrete
+    du: Metric                                     # uniform metric on the group
+    point_metric: Callable[[object], Metric]       # metric of the acted-on space
+    identity: Callable[[object], object]           # group identity
+    marked_points: Callable[[object, int], tuple]  # first ``count`` points
+    anchor: Callable[[object], tuple]              # (x1, x2, d(x1, x2) > 0)
+    acts_on: Callable[[object, object], bool]      # may ``v`` act on point ``p``
+
+
+VALUE_KINDS = {
+    WindowPerm: ValueKind(
+        discrete=True,
+        du=perm_du,
+        point_metric=lambda v: nat_discrete,
+        identity=lambda v: E,
+        marked_points=lambda v, count: tuple(range(count)),
+        anchor=lambda v: (0, 1, Fraction(1)),
+        acts_on=lambda v, p: isinstance(p, int),
+    ),
+    SpaceIsometry: ValueKind(
+        discrete=False,
+        du=isometry_du,
+        point_metric=lambda v: v.space.d,
+        identity=lambda v: space_identity(v.space),
+        marked_points=lambda v, count: v.space.points[:count],
+        anchor=lambda v: v.space.diameter_pair(),
+        acts_on=lambda v, p: p in v.space.points,
+    ),
+}
+
+
+def value_kind(v) -> ValueKind:
+    """The kind record of fiber value ``v``, looked up by its exact type."""
+    kind = VALUE_KINDS.get(type(v))
+    if kind is None:
+        raise MismatchedSpace(f"no acted-on space for values {type(v).__name__}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -114,10 +168,6 @@ class StepFn:
         return [
             (v, DyadicSet(self.level, frozenset(groups[v]))) for v in order
         ]
-
-
-def common_level(*fns: StepFn) -> int:
-    return max(f.level for f in fns)
 
 
 def zip_values(f: StepFn, h: StepFn):
@@ -315,9 +365,9 @@ def constant_generic_conjugator(
     if matcher is None:
         matcher = default_window_matcher(k)
     if metric_u is None:
-        metric_u = window_du(k) if isinstance(f.values[0], WindowPerm) else None
-    if metric_u is None:
-        raise ValueError("metric_u required for non-permutation values")
+        if not value_kind(f.values[0]).discrete:
+            raise ValueError("metric_u required for non-permutation values")
+        metric_u = window_du(k)
     from .errors import RandlabError
 
     conjugators = []

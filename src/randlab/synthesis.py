@@ -36,20 +36,20 @@ from typing import Callable, Mapping, Sequence
 from .dyadic import (
     DyadicMPT,
     TowerData,
+    _exact_conjugator,
     delta_u,
     mpt_conjugate_match,
     periodic_approximation,
 )
 from .errors import (
     InsufficientCycles,
-    MismatchedSpace,
     NotExactTower,
     OracleFailure,
     RandlabError,
     SimultaneousMatchUnsupported,
 )
 from .groups import E, WindowPerm, cycle_pack, match_partial
-from .stepfn import StepFn
+from .stepfn import StepFn, value_kind
 from .tilde import (
     ProductNbhd,
     TildeElement,
@@ -74,6 +74,11 @@ def column_intervals(s0: DyadicMPT, base: int, height: int) -> list[int]:
     return out
 
 
+def _column_product(values: Sequence):
+    """``values[-1] * ... * values[1] * values[0]``."""
+    return reduce(lambda acc, v: v * acc, values[1:], values[0])
+
+
 def tower_product(h: StepFn, s0: DyadicMPT, tower: TowerData, x: int):
     """Ordered product of ``h`` up the column through base interval ``x``:
     ``h(s0**(N-1) x) * ... * h(s0 x) * h(x)``, rightmost applied first."""
@@ -83,13 +88,32 @@ def tower_product(h: StepFn, s0: DyadicMPT, tower: TowerData, x: int):
     hh, ss = h.refine(level), s0.refine(level)
     scale = 2 ** (level - tower.level)
     column = column_intervals(ss, x * scale, tower.height)
-    values = [hh.values[i] for i in column]
-    return reduce(lambda acc, v: v * acc, values[1:], values[0])
+    return _column_product([hh.values[i] for i in column])
 
 
-def _column_product(values: Sequence):
-    """``values[-1] * ... * values[1] * values[0]``."""
-    return reduce(lambda acc, v: v * acc, values[1:], values[0])
+def _tower_setup(
+    task: SynthesisTask | MetricSynthesisTask,
+) -> tuple[int, DyadicMPT, TowerData, StepFn]:
+    """Shared prologue of both synthesis variants.
+
+    Resolves the tower height (default: the smallest power of two ``N``
+    with ``2/N < eps``), builds the exact period-``N`` approximation of
+    ``task.s`` with its full-coverage tower at the level of ``task.h`` or
+    finer, and refines ``task.h`` to that level.  Returns ``(height, s0,
+    tower, h)``.
+    """
+    eps = Fraction(task.eps)
+    height = task.height
+    if height is None:
+        height = 2
+        while Fraction(2, height) >= eps:
+            height *= 2
+    leftover_budget = max(ZERO, eps - Fraction(1, height))
+    pa = periodic_approximation(task.s, height, leftover_budget)
+    level = max(pa.exact_tower.level, task.h.level)
+    if level > pa.exact_tower.level:
+        pa = periodic_approximation(task.s.refine(level), height, leftover_budget)
+    return height, pa.s0, pa.exact_tower, task.h.refine(level)
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +130,6 @@ class SynthesisTask:
     k: int                     # agreement window: points 0..k-1
     eps: Fraction
     height: int | None = None  # tower height; default: smallest usable power of two
-
-    def resolved_height(self) -> int:
-        if self.height is not None:
-            return self.height
-        n = 2
-        while Fraction(2, n) >= Fraction(self.eps):
-            n *= 2
-        return n
 
 
 @dataclass(frozen=True)
@@ -199,10 +215,18 @@ def format_synthesis_result(result: SynthesisResult) -> str:
 def sigma_budget(k: int, height: int) -> WindowPerm:
     """Lean generic budget for window-``k`` targets over ``height`` towers.
 
-    The loop targets decompose into at most k components of size at most
-    k+1, so the height-th power must offer k spare cycles of every length
-    up to k+2; cycles of length ``height * j`` provide ``height`` cycles of
-    length ``j`` each.
+    Counting lemma: the budget always suffices for a loop target on
+    ``range(k)``.  That target is a partial injection with at most ``k``
+    components, since each holds a point of ``range(k)``.  A cycle
+    component of length ``c <= k`` needs a spare cycle of length exactly
+    ``c``; a chain through ``s <= k`` constrained points needs one of
+    length at least ``s + 2 <= k + 2``; fixed points need none.  The
+    budget packs ``ceil(k/height)`` cycles of length ``height * j`` for
+    ``j = 1 .. k+2``, and ``sigma**height`` splits each of them into
+    ``height`` cycles of length ``j``.  So ``sigma**height`` has at least
+    ``k`` cycles of every length from 2 to ``k+2``, one for each component
+    even when all of them want the same length, and
+    :func:`~randlab.groups.match_partial` never runs short.
     """
     copies = -(-k // height)  # ceil
     return cycle_pack({height * j: copies for j in range(1, k + 3)})
@@ -236,51 +260,16 @@ def synthesize_conjugator(task: SynthesisTask) -> SynthesisResult:
     """Build ``g`` realizing the step condition over an exact tower.
 
     The loop target of each column is matched into ``sigma**height`` by the
-    spare-cycle embedding; when ``task.sigma`` is None a lean budget is
-    sized automatically and doubled on shortfall (three growths at most).
-    The returned agreement measure is the exact mass of intervals where the
+    spare-cycle embedding; when ``task.sigma`` is None the budget of
+    :func:`sigma_budget` is used, which always suffices.  A supplied sigma
+    with too few spare cycles raises :class:`InsufficientCycles`.  The
+    returned agreement measure is the exact mass of intervals where the
     step condition holds against the original map ``S`` for every point
     below the window.
     """
-    height = task.resolved_height()
-    eps = Fraction(task.eps)
-    leftover_budget = max(ZERO, eps - Fraction(1, height))
-    pa = periodic_approximation(task.s, height, leftover_budget)
-    s0, tower = pa.s0, pa.exact_tower
-    level = max(tower.level, task.h.level)
-    if level > tower.level:
-        pa = periodic_approximation(task.s.refine(level), height, leftover_budget)
-        s0, tower = pa.s0, pa.exact_tower
-    h = task.h.refine(level)
+    height, s0, tower, h = _tower_setup(task)
     domain = range(task.k)
-
-    if task.sigma is not None:
-        sigmas = [task.sigma]
-    else:
-        base_copies = -(-task.k // height)
-        sigmas = [
-            cycle_pack({height * j: base_copies << g for j in range(1, task.k + 3)})
-            for g in range(4)
-        ]
-
-    last_error: InsufficientCycles | None = None
-    for sigma in sigmas:
-        try:
-            return _synthesize_with_sigma(sigma, s0, tower, h, task, domain, height)
-        except InsufficientCycles as exc:
-            last_error = exc
-    raise last_error  # type: ignore[misc]
-
-
-def _synthesize_with_sigma(
-    sigma: WindowPerm,
-    s0: DyadicMPT,
-    tower: TowerData,
-    h: StepFn,
-    task: SynthesisTask,
-    domain: Sequence[int],
-    height: int,
-) -> SynthesisResult:
+    sigma = task.sigma if task.sigma is not None else sigma_budget(task.k, height)
     level = s0.level
     n_intervals = 2 ** level
     sigma_power = sigma ** height
@@ -352,14 +341,6 @@ class MetricSynthesisTask:
     eps: Fraction            # tower mass tolerance
     height: int | None = None
 
-    def resolved_height(self) -> int:
-        if self.height is not None:
-            return self.height
-        n = 2
-        while Fraction(2, n) >= Fraction(self.eps):
-            n *= 2
-        return n
-
 
 @dataclass(frozen=True)
 class MetricSynthesisResult:
@@ -399,21 +380,11 @@ def mpt_power_oracle(sigma: DyadicMPT):
                 f"(> {eps_g})",
                 component="base-group",
             )
-        rho = _exact_mpt_conjugator(power_l, q)
+        rho = _exact_conjugator(power_l, q)
         assert power_l.conj(rho).perm == q.perm
         return rho
 
     return oracle
-
-
-def _exact_mpt_conjugator(t0: DyadicMPT, s0: DyadicMPT) -> DyadicMPT:
-    tc = sorted(t0.cycles(include_fixed=True), key=lambda c: (len(c), c[0]))
-    sc = sorted(s0.cycles(include_fixed=True), key=lambda c: (len(c), c[0]))
-    r = [0] * len(t0.perm)
-    for ct, cs in zip(tc, sc):
-        for a, b in zip(cs, ct):
-            r[a] = b
-    return DyadicMPT(t0.level, tuple(r))
 
 
 def nearest_of_cycle_type(
@@ -469,8 +440,6 @@ def synthesize_conjugator_metric(
     deviation for the wraparound step, while the upper levels are exact by
     construction.  Every deviation is recomputed and certified.
     """
-    height = task.resolved_height()
-    eps = Fraction(task.eps)
     eps_g = Fraction(task.eps_g)
     if oracle is None or metric is None:
         if not isinstance(task.sigma, DyadicMPT):
@@ -480,14 +449,8 @@ def synthesize_conjugator_metric(
             )
         oracle = oracle or mpt_power_oracle(task.sigma)
         metric = metric or delta_u
-    leftover_budget = max(ZERO, eps - Fraction(1, height))
-    pa = periodic_approximation(task.s, height, leftover_budget)
-    s0, tower = pa.s0, pa.exact_tower
-    level = max(tower.level, task.h.level)
-    if level > tower.level:
-        pa = periodic_approximation(task.s.refine(level), height, leftover_budget)
-        s0, tower = pa.s0, pa.exact_tower
-    h = task.h.refine(level)
+    height, s0, tower, h = _tower_setup(task)
+    level = h.level
     sigma = task.sigma
 
     n_intervals = 2 ** level
@@ -639,10 +602,11 @@ def approx_conjugate_constant(
     match = mpt_conjugate_match(t, s, eps)
     r = match.r
     level = max(r.level, t.level, s.level)
-    conjugator = TildeElement(StepFn.constant(_identity_of(h), level), r)
+    kind = value_kind(h)
+    conjugator = TildeElement(StepFn.constant(kind.identity(h), level), r)
     conjugated = TildeElement(StepFn.constant(h, level), t.conj(r))
     reference = TildeElement(StepFn.constant(h, level), s.refine(level))
-    if isinstance(h, WindowPerm):
+    if kind.discrete:
         value = lu_exact_discrete(conjugated, reference)
     else:
         value = lu_bounds(conjugated, reference).upper
@@ -652,16 +616,6 @@ def approx_conjugate_constant(
         lu_value=value,
         certified=value < eps,
     )
-
-
-def _identity_of(value):
-    if isinstance(value, WindowPerm):
-        return E
-    from .spaces import SpaceIsometry, space_identity
-
-    if isinstance(value, SpaceIsometry):
-        return space_identity(value.space)
-    raise MismatchedSpace(f"no identity for {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +674,8 @@ def diagonal_experiment(
         )
 
     level = max(max(s.f.level, s.t.level) for s in sources)
-    identity = tilde_identity(_identity_of(sources[0].f.values[0]), level)
+    v0 = sources[0].f.values[0]
+    identity = tilde_identity(value_kind(v0).identity(v0), level)
     trivial = evaluate(identity)
     if trivial.success:
         return DiagonalReport(

@@ -14,20 +14,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .dyadic import DyadicMPT, DyadicSet, delta_u
+from .dyadic import DyadicMPT, DyadicSet
 from .errors import DegenerateSpace, MismatchedSpace, NotDiscrete
-from .groups import E, WindowPerm, perm_du
-from .spaces import (
-    FiniteMetricSpace,
-    SpaceIsometry,
-    isometry_du,
-    nat_discrete,
-)
-from .stepfn import StepFn, dhat, l0_mul, zip_values
+from .groups import E
+from .stepfn import StepFn, dhat, l0_mul, value_kind, zip_values
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -76,63 +70,25 @@ def tilde_identity(value_identity=E, level: int = 0) -> TildeElement:
     )
 
 
-def tilde_product(a: TildeElement, b: TildeElement) -> TildeElement:
-    return a * b
-
-
-def tilde_inverse(a: TildeElement) -> TildeElement:
-    return a.inverse()
-
-
 def tilde_act(a: TildeElement, alpha: StepFn) -> StepFn:
     """Apply the isometry: value at interval i is ``f_i(alpha(T**-1 i))``."""
     m = max(a.f.level, a.t.level, alpha.level)
     f, t, al = a.f.refine(m), a.t.refine(m), alpha.refine(m)
     inv = t.inverse().perm
-    _check_acts(f.values[0], al.values[0])
+    v, point = f.values[0], al.values[0]
+    if not value_kind(v).acts_on(v, point):
+        raise MismatchedSpace(
+            f"{type(v).__name__} values do not act on the point {point!r}"
+        )
     return StepFn(
         m, tuple(f.values[i](al.values[inv[i]]) for i in range(2 ** m))
     )
 
 
-def _check_acts(group_value, point) -> None:
-    if isinstance(group_value, WindowPerm) and not isinstance(point, int):
-        raise MismatchedSpace("window permutations act on naturals")
-    if isinstance(group_value, SpaceIsometry):
-        if point not in group_value.space.points:
-            raise MismatchedSpace("point outside the isometry's space")
-
-
-# ---------------------------------------------------------------------------
-# Point metrics of the acted-on space
-# ---------------------------------------------------------------------------
-
-def point_metric_for(a: TildeElement) -> Callable:
+def _point_metric(fiber: StepFn) -> Callable:
     """Metric of the space the fiber values act on."""
-    v = a.f.values[0]
-    if isinstance(v, WindowPerm):
-        return nat_discrete
-    if isinstance(v, SpaceIsometry):
-        return v.space.d
-    raise MismatchedSpace(f"no acted-on space for values {type(v).__name__}")
-
-
-def base_du_for(a: TildeElement) -> Callable:
-    v = a.f.values[0]
-    if isinstance(v, WindowPerm):
-        return perm_du
-    if isinstance(v, SpaceIsometry):
-        return isometry_du
-    raise MismatchedSpace(f"no uniform metric for values {type(v).__name__}")
-
-
-def marked_points_for(a: TildeElement, count: int = 4) -> tuple:
-    v = a.f.values[0]
-    if isinstance(v, WindowPerm):
-        return tuple(range(count))
-    if isinstance(v, SpaceIsometry):
-        return tuple(v.space.points[: min(count, len(v.space.points))])
-    raise MismatchedSpace("no marked points available")
+    v = fiber.values[0]
+    return value_kind(v).point_metric(v)
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +114,11 @@ def pointwise_metric(
     Truncated at ``budget`` test functions; the discarded tail is bounded
     by ``2**-budget`` since every displacement is at most one.
     """
+    v = a.f.values[0]
+    kind = value_kind(v)
     if marked is None:
-        marked = marked_points_for(a)
-    metric = point_metric_for(a)
+        marked = kind.marked_points(v, 4)
+    metric = kind.point_metric(v)
     total = ZERO
     for m, alpha in enumerate(enumerate_test_functions(marked)):
         if m >= budget:
@@ -182,7 +140,7 @@ class PointwiseNbhd:
     tests: tuple[tuple[StepFn, Fraction], ...]  # (test function, radius)
 
     def residuals(self, x: TildeElement) -> list[Fraction]:
-        metric = point_metric_for(self.center)
+        metric = _point_metric(self.center.f)
         return [
             dhat(tilde_act(self.center, alpha), tilde_act(x, alpha), metric)
             for alpha, _ in self.tests
@@ -206,7 +164,7 @@ class ProductNbhd:
     set_conditions: tuple[tuple[DyadicSet, Fraction], ...]  # (set, bound)
 
     def fiber_residuals(self, f: StepFn) -> list[Fraction]:
-        metric = _point_metric_for_values(self.center_f.values[0])
+        metric = _point_metric(self.center_f)
         out = []
         for point, _ in self.value_conditions:
             m, cv, fv = zip_values(self.center_f, f)
@@ -233,14 +191,6 @@ class ProductNbhd:
 
     def contains(self, x: TildeElement) -> bool:
         return self.contains_pair(x.f, x.t)
-
-
-def _point_metric_for_values(v) -> Callable:
-    if isinstance(v, WindowPerm):
-        return nat_discrete
-    if isinstance(v, SpaceIsometry):
-        return v.space.d
-    raise MismatchedSpace(f"no acted-on space for values {type(v).__name__}")
 
 
 def nbhd_product_to_pointwise(
@@ -270,7 +220,7 @@ def pointwise_displacement(
     center: TildeElement, member: TildeElement, alpha: StepFn
 ) -> Fraction:
     """Exact action displacement at one test function."""
-    metric = point_metric_for(center)
+    metric = _point_metric(center.f)
     return dhat(tilde_act(center, alpha), tilde_act(member, alpha), metric)
 
 
@@ -303,7 +253,7 @@ def nbhd_pointwise_to_product(
     the fiber integral at ``alpha`` below eps.
     """
     eps = Fraction(eps)
-    metric = point_metric_for(center)
+    metric = _point_metric(center.f)
     s = metric(c1, c2)
     if s <= 0:
         raise DegenerateSpace("need two points at positive distance")
@@ -354,7 +304,7 @@ def verify_pointwise_to_product(
         .symmetric_difference(member.t.image(cert.target_set))
         .measure
     )
-    metric = point_metric_for(center)
+    metric = _point_metric(center.f)
     m = max(center.f.level, member.f.level, cert.fiber_test.level)
     cf, mf = center.f.refine(m), member.f.refine(m)
     al = cert.fiber_test.refine(m)
@@ -440,7 +390,7 @@ def lu_exact_discrete(a: TildeElement, b: TildeElement) -> Fraction:
     Reduces by bi-invariance to ``(h, R) = b**-1 a`` against the identity
     and returns ``mu({h != e} union {R != id})``.
     """
-    if not isinstance(a.f.values[0], WindowPerm):
+    if not value_kind(a.f.values[0]).discrete:
         raise NotDiscrete(
             "exact formula needs the discrete naturals; use lu_bounds"
         )
@@ -473,22 +423,20 @@ def lu_bounds(
     and ``mu(B) + int_A d_u(h, e)`` where ``r`` is the distance of the
     anchor pair (default: a maximal-distance pair of the space).
     """
+    kind = value_kind(a.f.values[0])
     c = _reduce_pair(a, b)
-    du = base_du_for(c)
+    du = kind.du
     v0 = c.f.values[0]
     if anchor is None:
-        if isinstance(v0, WindowPerm):
-            x1, x2, r = 0, 1, ONE
-        else:
-            x1, x2, r = v0.space.diameter_pair()
+        x1, x2, r = kind.anchor(v0)
     else:
         x1, x2 = anchor
-        r = point_metric_for(c)(x1, x2)
+        r = kind.point_metric(v0)(x1, x2)
         if r <= 0:
             raise DegenerateSpace("anchor pair at distance zero")
     level = max(c.f.level, c.t.level)
     f, t = c.f.refine(level), c.t.refine(level)
-    ident = _identity_like(v0)
+    ident = kind.identity(v0)
     moving = ZERO
     fixed_integral = ZERO
     dhat_u_fiber = ZERO
@@ -512,16 +460,6 @@ def lu_bounds(
         fixed_fiber_integral=fixed_integral,
         anchor_distance=r,
     )
-
-
-def _identity_like(v):
-    if isinstance(v, WindowPerm):
-        return E
-    if isinstance(v, SpaceIsometry):
-        from .spaces import space_identity
-
-        return space_identity(v.space)
-    raise MismatchedSpace(f"no identity for values {type(v).__name__}")
 
 
 # -- witness families ---------------------------------------------------------
@@ -630,13 +568,14 @@ def lu_estimate(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     c = _reduce_pair(a, b)
-    metric = point_metric_for(c)
-    discrete = isinstance(c.f.values[0], WindowPerm)
-    witnesses = _discrete_witnesses(c) if discrete else _metric_witnesses(c)
+    v0 = c.f.values[0]
+    kind = value_kind(v0)
+    metric = kind.point_metric(v0)
+    witnesses = _discrete_witnesses(c) if kind.discrete else _metric_witnesses(c)
     rng = random.Random(seed)
     level = max(c.f.level, c.t.level)
     n = 2 ** level
-    if discrete:
+    if kind.discrete:
         fresh = _fresh_values(c, 4)
         pool = list(range(4)) + fresh
         for _ in range(budget):
@@ -644,7 +583,7 @@ def lu_estimate(
                 StepFn(level, tuple(rng.choice(pool) for _ in range(n)))
             )
     else:
-        points = c.f.values[0].space.points
+        points = v0.space.points
         for _ in range(budget):
             witnesses.append(
                 StepFn(level, tuple(rng.choice(points) for _ in range(n)))

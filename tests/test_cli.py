@@ -129,3 +129,31 @@ def test_seed_flag_overrides_config(tmp_path):
     _, rep1 = run_command("metrics", cfg, seed=99)
     _, rep2 = run_command("metrics", dict(cfg, seed="99"), seed=None)
     assert strip_runtime(rep1) == strip_runtime(rep2)
+
+
+def test_certificate_reports_keep_runtime_last():
+    cfg = {
+        "count": "1",
+        "level": "6",
+        "height": "4",
+        "k": "3",
+        "seed": "3",
+        "emit_certificates": "true",
+    }
+    status1, rep1 = run_command("synthesize", cfg)
+    status2, rep2 = run_command("synthesize", cfg)
+    assert status1 == status2 == 0
+    assert rep1.splitlines()[0].endswith(",runtime_s")
+    assert strip_runtime(rep1) == strip_runtime(rep2)
+
+
+def test_empty_report_fails():
+    status, _ = run_command("metrics", {"count": "-1", "seed": "1"})
+    assert status == 1
+
+
+@pytest.mark.parametrize("value", ["shift:abc", "cycle:x", "shift:-1"])
+def test_bad_mpt_levels_are_config_errors(tmp_path, capsys, value):
+    cfg = write(tmp_path, "tower.cfg", f"mpt = {value}\nheight = 4\n")
+    assert main(["tower", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err

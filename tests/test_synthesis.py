@@ -16,11 +16,19 @@ from randlab.corpus import (
 )
 from randlab.dyadic import DyadicMPT, DyadicSet, delta_u, periodic_approximation
 from randlab.errors import (
+    InsufficientCycles,
     NotExactTower,
     OracleFailure,
     SimultaneousMatchUnsupported,
 )
-from randlab.groups import E, cycle_pack, from_cycles, generic_surrogate, shifted
+from randlab.groups import (
+    E,
+    cycle_pack,
+    from_cycles,
+    generic_surrogate,
+    match_partial,
+    shifted,
+)
 from randlab.stepfn import StepFn
 from randlab.synthesis import (
     MetricSynthesisTask,
@@ -408,3 +416,43 @@ def test_diagonal_overlapping_windows_unsupported():
     )
     with pytest.raises(SimultaneousMatchUnsupported):
         diagonal_experiment([src, src], [target, target])
+
+
+# -- sigma budget: the counting lemma -------------------------------------------
+
+@pytest.mark.parametrize("height", [1, 2, 4, 8, 16, 32])
+def test_sigma_budget_counting_lemma_grid(height):
+    # sigma**height offers k cycles of every length 2..k+2, so every loop
+    # target on range(k) is matched without shortfall
+    rng = random.Random(height)
+    for k in range(1, 13):
+        sigma = sigma_budget(k, height)
+        power = sigma ** height
+        census = power.cycle_census(window=power.window)
+        for length in range(2, k + 3):
+            assert census[length] >= k, (k, height, length)
+        targets = [
+            {n: (n + 1) % k for n in range(k)},   # one k-cycle
+            {n: n + k for n in range(k)},         # k one-link chains
+            {n: n + 1 for n in range(k)},         # one chain through k points
+        ]
+        for _ in range(5):
+            images = list(range(k + 4))
+            rng.shuffle(images)
+            targets.append({n: images[n] for n in range(k)})
+        for target in targets:
+            rho = match_partial(sigma, height, target)
+            conj = rho.inverse() * power * rho
+            assert all(conj(n) == v for n, v in target.items())
+
+
+def test_synthesis_short_user_sigma_raises():
+    # a supplied sigma without spare cycles is not regrown
+    rng = random.Random(5)
+    s = rand_aperiodic_mpt(rng, 6, 4)
+    h = StepFn.constant(from_cycles([[0, 1, 2]]), 6)
+    task = SynthesisTask(
+        sigma=from_cycles([[0, 1]]), s=s, h=h, k=4, eps=F(1, 2), height=4
+    )
+    with pytest.raises(InsufficientCycles):
+        synthesize_conjugator(task)

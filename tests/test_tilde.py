@@ -15,7 +15,7 @@ from randlab.corpus import (
     rand_tilde_perm,
 )
 from randlab.dyadic import DyadicMPT, DyadicSet, delta_u
-from randlab.errors import NotDiscrete
+from randlab.errors import MismatchedSpace, NotDiscrete
 from randlab.groups import E, parse_cycles, perm_du
 from randlab.spaces import isometry_group, space_identity
 from randlab.stepfn import StepFn, dhat
@@ -270,3 +270,21 @@ def test_serialization_round_trip():
     rng = random.Random(59)
     a = rand_tilde_perm(rng, 2, 5)
     assert parse_tilde(format_tilde(a)).same_element(a)
+
+
+def test_unknown_value_kind_is_a_mismatched_space():
+    a = TildeElement(StepFn.constant(3, 1), DyadicMPT.identity(1))
+    with pytest.raises(MismatchedSpace):
+        lu_bounds(a, a)
+    with pytest.raises(MismatchedSpace):
+        pointwise_metric(a, a, budget=2)
+
+
+def test_action_rejects_points_outside_the_space():
+    space = equilateral_space(3)
+    iso = TildeElement(StepFn.constant(isometry_group(space)[1], 1), DyadicMPT.identity(1))
+    perm = TildeElement(StepFn.constant(parse_cycles("(0 1)"), 1), DyadicMPT.identity(1))
+    with pytest.raises(MismatchedSpace):
+        tilde_act(iso, StepFn.constant(7, 1))
+    with pytest.raises(MismatchedSpace):
+        tilde_act(perm, StepFn.constant("x", 1))
