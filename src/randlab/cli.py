@@ -23,18 +23,9 @@ import sys
 import time
 from fractions import Fraction
 
-from .corpus import (
-    rand_aperiodic_mpt,
-    rand_cycle_type,
-    rand_full_cycle,
-    rand_pl,
-    rand_step_perm,
-    rand_tilde_perm,
-    rand_window_perm,
-)
+from .corpus import rand_full_cycle, rand_pl, rand_tilde_perm, rand_window_perm
 from .dyadic import (
     DyadicMPT,
-    DyadicSet,
     delta_u,
     delta_u_prime,
     delta_w,
@@ -43,25 +34,16 @@ from .dyadic import (
     rokhlin_tower,
 )
 from .errors import ConfigError, RandlabError
-from .groups import (
-    cycle_pack,
-    orbitals_and_signs,
-    parse_cycles,
-    perm_dp,
-    perm_du,
-    power_cycle_type,
-)
-from .stepfn import StepFn, dhat
-from .suites import run_all
-from .synthesis import (
-    SynthesisTask,
-    approx_conjugate_constant,
-    conjugate_into_neighborhood,
-    synthesize_conjugator,
+from .groups import parse_cycles, perm_dp, perm_du, power_invariance_check
+from .stepfn import dhat
+from .suites import (
+    DENSITY_EPS,
+    constant_fiber_case,
+    neighborhood_case,
+    run_all,
+    synthesis_case,
 )
 from .tilde import (
-    ProductNbhd,
-    TildeElement,
     lu_bounds,
     lu_estimate,
     lu_exact_discrete,
@@ -101,26 +83,30 @@ def config_digest(command: str, cfg: dict[str, str]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _frac(cfg, key, default=None) -> Fraction:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing rational key {key!r}")
-        return Fraction(default)
+def _frac(cfg, key, default=None, positive=False) -> Fraction:
+    if key not in cfg and default is None:
+        raise ConfigError(f"missing rational key {key!r}")
     try:
-        return Fraction(cfg[key])
+        value = Fraction(cfg.get(key, default))
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"bad rational for {key!r}: {cfg[key]!r}") from None
+    if positive and value <= 0:
+        raise ConfigError(f"{key!r} must be positive, got {value}")
+    return value
 
 
-def _int(cfg, key, default=None) -> int:
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing integer key {key!r}")
-        return default
+def _int(cfg, key, default=None, lo=None, hi=None) -> int:
+    if key not in cfg and default is None:
+        raise ConfigError(f"missing integer key {key!r}")
     try:
-        return int(cfg[key])
+        value = int(cfg.get(key, default))
     except ValueError:
         raise ConfigError(f"bad integer for {key!r}: {cfg[key]!r}") from None
+    if lo is not None and value < lo:
+        raise ConfigError(f"{key!r} must be at least {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ConfigError(f"{key!r} must be at most {hi}, got {value}")
+    return value
 
 
 def _need_seed(cfg) -> int:
@@ -137,27 +123,15 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _mpt_level(key, value) -> int:
-    """The level after the colon of ``shift:<level>`` or ``cycle:<level>``."""
-    try:
-        level = int(value.split(":", 1)[1])
-    except ValueError:
-        raise ConfigError(f"bad level for {key!r}: {value!r}") from None
-    if level < 0:
-        raise ConfigError(f"negative level for {key!r}: {value!r}")
-    return level
-
-
-def _mpt_from_config(cfg, key, rng=None) -> DyadicMPT:
+def _mpt_from_config(cfg, key, rng) -> DyadicMPT:
     value = cfg.get(key, "")
     if value.startswith("mpt"):
         return parse_mpt(value)
-    if value.startswith("shift:"):
-        return DyadicMPT.shift(_mpt_level(key, value))
-    if value.startswith("cycle:"):
-        if rng is None:
-            raise ConfigError(f"{key}: seeded cycle needs a seed")
-        return rand_full_cycle(rng, _mpt_level(key, value))
+    kind, _, level = value.partition(":")
+    if kind == "shift":
+        return DyadicMPT.shift(_int({key: level}, key, lo=0))
+    if kind == "cycle":
+        return rand_full_cycle(rng, _int({key: level}, key, lo=0))
     raise ConfigError(
         f"{key!r} must be 'mpt <level> <images>', 'shift:<level>' or 'cycle:<level>'"
     )
@@ -175,15 +149,15 @@ def cmd_metrics(cfg):
         rng = None
     else:
         rng = random.Random(_need_seed(cfg))
-        level = _int(cfg, "level", 4)
-        window = _int(cfg, "window", 6)
+        level = _int(cfg, "level", 4, lo=0)
+        window = _int(cfg, "window", 6, lo=0)
         count = _int(cfg, "count", 10)
         pairs = [
             (i, rand_tilde_perm(rng, level, window), rand_tilde_perm(rng, level, window))
             for i in range(count)
         ]
-    budget = _int(cfg, "pointwise_budget", 24)
-    est_budget = _int(cfg, "witness_budget", 8)
+    budget = _int(cfg, "pointwise_budget", 24, lo=1)
+    est_budget = _int(cfg, "witness_budget", 8, lo=1)
     est_seed = _int(cfg, "seed", 0)
     for i, a, b in pairs:
         exact = lu_exact_discrete(a, b)
@@ -211,7 +185,7 @@ def cmd_metrics(cfg):
 def cmd_tower(cfg):
     rng = random.Random(_int(cfg, "seed", 0))
     t = _mpt_from_config(cfg, "mpt", rng)
-    height = _int(cfg, "height")
+    height = _int(cfg, "height", lo=1)
     bound = _frac(cfg, "bound", "1")
     tower = rokhlin_tower(t, height, bound)
     pa = periodic_approximation(t, height, bound)
@@ -237,27 +211,25 @@ def cmd_tower(cfg):
 def cmd_synthesize(cfg):
     rng = random.Random(_need_seed(cfg))
     count = _int(cfg, "count", 1)
-    level = _int(cfg, "level", 9)
-    height = _int(cfg, "height", 8)
-    k = _int(cfg, "k", 4)
-    window = _int(cfg, "window", 8)
-    eps = _frac(cfg, "eps", F(2, height))
+    level = _int(cfg, "level", 9, lo=0)
+    height = _int(cfg, "height", 8, lo=1, hi=2 ** level)
+    k = _int(cfg, "k", 4, lo=1)
+    window = _int(cfg, "window", 8, lo=0)
+    eps = _frac(cfg, "eps", positive=True) if "eps" in cfg else None
     emit_certs = cfg.get("emit_certificates", "false") == "true"
     rows = []
     for i in range(count):
-        s = rand_aperiodic_mpt(rng, level, height)
-        h = rand_step_perm(rng, 4, window)
-        task = SynthesisTask(sigma=None, s=s, h=h, k=k, eps=eps, height=height)
-        out = synthesize_conjugator(task)
+        case = synthesis_case(rng, level, height, k, window, eps)
+        out = case.out
         rows.append(
             {
                 "id": i,
                 "kind": "summary",
                 "columns": len(out.tower.base.members),
                 "agreement": fmt(out.agreement),
-                "agreement_bound": fmt(1 - eps),
+                "agreement_bound": fmt(1 - case.eps),
                 "certificates": len(out.certificates),
-                "pass": out.all_ok() and out.agreement >= 1 - eps,
+                "pass": case.ok,
             }
         )
         if emit_certs:
@@ -280,46 +252,25 @@ def cmd_synthesize(cfg):
 def cmd_density(cfg):
     rng = random.Random(_need_seed(cfg))
     count = _int(cfg, "count", 10)
-    eps = _frac(cfg, "eps", "1/16")
-    g_base = cycle_pack({32 * j: 1 for j in range(1, 6)})
+    eps = _frac(cfg, "eps", DENSITY_EPS, positive=True)
     rows = []
     for i in range(count):
-        t_gen = rand_cycle_type(rng, 8, [32] * 8)
-        t_c = rand_cycle_type(rng, 8, [32] * 8)
-        conjs = [rand_window_perm(rng, 6) for _ in range(4)]
-        target = ProductNbhd(
-            center_f=StepFn(2, tuple(g_base.conj(c) for c in conjs)),
-            center_t=t_c,
-            value_conditions=((0, eps), (1, eps)),
-            set_conditions=((DyadicSet(2, frozenset({0, 2})), eps),),
-        )
-        out = conjugate_into_neighborhood(g_base, t_gen, target)
-        rows.append(
-            {
-                "id": i,
-                "experiment": "neighborhood",
-                "value": fmt(max(out.fiber_residuals + out.aut_residuals)),
-                "bound": fmt(eps),
-                "pass": out.member,
-            }
-        )
-        h = rand_window_perm(rng, 6)
-        t, s = rand_full_cycle(rng, 9), rand_full_cycle(rng, 9)
-        const = approx_conjugate_constant(h, t, s, eps)
-        rows.append(
-            {
-                "id": i,
-                "experiment": "constant-fiber",
-                "value": fmt(const.lu_value),
-                "bound": fmt(eps),
-                "pass": const.certified,
-            }
-        )
+        nbhd = neighborhood_case(rng, eps)
+        const = constant_fiber_case(rng, eps)
+        residual = max(nbhd.out.fiber_residuals + nbhd.out.aut_residuals)
+        for experiment, case, value in (
+            ("neighborhood", nbhd, residual),
+            ("constant-fiber", const, const.out.lu_value),
+        ):
+            rows.append(
+                {"id": i, "experiment": experiment, "value": fmt(value),
+                 "bound": fmt(eps), "pass": case.ok}
+            )
     return rows
 
 
 def cmd_verify(cfg):
-    scale = float(_frac(cfg, "scale", "1"))
+    scale = float(_frac(cfg, "scale", "1", positive=True))
     seed_base = _int(cfg, "seed", 0)
     rows = []
     for res in run_all(seed_base=seed_base, scale=scale):
@@ -337,36 +288,29 @@ def cmd_verify(cfg):
 
 
 def cmd_power(cfg):
-    rows = []
     if "perm" in cfg:
         p = parse_cycles(cfg["perm"])
-        n = _int(cfg, "n", 2)
-        rule = power_cycle_type(p, n, window=p.window)
-        direct = (p ** n).cycle_census(window=p.window)
-        rows.append(
+        report = power_invariance_check(p, _int(cfg, "n", 2, lo=1))
+        census = report.details["census"]
+        return [
             {
                 "id": 0,
                 "experiment": "cycle-power-rule",
-                "detail": ";".join(f"{k}:{v}" for k, v in sorted(rule.items()) if v),
-                "pass": rule == direct,
+                "detail": ";".join(f"{k}:{v}" for k, v in sorted(census.items()) if v),
+                "pass": report.ok(),
             }
-        )
-        return rows
+        ]
+    rows = []
     rng = random.Random(_need_seed(cfg))
     count = _int(cfg, "count", 20)
-    max_n = _int(cfg, "max_n", 12)
+    max_n = _int(cfg, "max_n", 12, lo=1)
     for i in range(count):
         p = rand_window_perm(rng, rng.randrange(2, 33))
-        ok = all(
-            power_cycle_type(p, n, window=p.window)
-            == (p ** n).cycle_census(window=p.window)
-            for n in range(1, max_n + 1)
-        )
+        ok = all(power_invariance_check(p, n).ok() for n in range(1, max_n + 1))
         rows.append({"id": i, "experiment": "cycle-power-rule", "detail": "", "pass": ok})
     for i in range(count):
         g = rand_pl(rng)
-        base = orbitals_and_signs(g)
-        ok = all(orbitals_and_signs(g ** n) == base for n in range(2, 6))
+        ok = all(power_invariance_check(g, n).ok() for n in range(2, 6))
         rows.append(
             {"id": count + i, "experiment": "orbital-invariance", "detail": "", "pass": ok}
         )

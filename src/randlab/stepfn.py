@@ -451,4 +451,7 @@ def parse_step(text: str, value_parser=parse_value) -> StepFn:
     if cur.strip():
         parts.append(cur)
     values = tuple(value_parser(p) for p in parts)
-    return StepFn(level, values)
+    try:
+        return StepFn(level, values)
+    except ValueError as exc:  # a value count that does not match the level
+        raise ParseError(str(exc)) from None

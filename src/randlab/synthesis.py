@@ -105,6 +105,8 @@ def _tower_setup(
     eps = Fraction(task.eps)
     height = task.height
     if height is None:
+        if eps <= 0:
+            raise ValueError("eps must be positive")
         height = 2
         while Fraction(2, height) >= eps:
             height *= 2

@@ -1,11 +1,21 @@
 """Tests for the experiment runner: configs, determinism, exit codes."""
 
+import csv
+import hashlib
+import io
 import json
+import random
 
 import pytest
 
 from randlab.cli import config_digest, main, parse_config, run_command
 from randlab.errors import ConfigError
+from randlab.suites import (
+    DENSITY_EPS,
+    constant_fiber_case,
+    neighborhood_case,
+    suite_metric_axioms,
+)
 
 
 def write(tmp_path, name, text):
@@ -157,3 +167,113 @@ def test_bad_mpt_levels_are_config_errors(tmp_path, capsys, value):
     cfg = write(tmp_path, "tower.cfg", f"mpt = {value}\nheight = 4\n")
     assert main(["tower", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("synthesize", "seed = 1\nheight = 0\n"),
+        ("synthesize", "seed = 1\nlevel = 3\nheight = 16\n"),
+        ("tower", "mpt = shift:5\nheight = 0\n"),
+        ("density", "seed = 1\neps = 0\n"),
+        ("density", "seed = 1\neps = -1/2\n"),
+        ("power", "perm = (0 1 2)\nn = 0\n"),
+        ("metrics", "seed = 1\nlevel = -1\n"),
+        ("verify", "scale = -1\n"),
+        ("verify", "scale = 0\n"),
+    ],
+)
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, text):
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main([command, "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_suite_with_zero_checks_fails():
+    result = suite_metric_axioms(triples=0)
+    assert result.checks == result.failures == 0
+    assert not result.passed
+
+
+def test_density_runs_the_criterion_scenario():
+    status, rep = run_command("density", {"seed": "5", "count": "2"})
+    assert status == 0
+    rows = rep.splitlines()[1:]
+    assert [r.split(",")[2] for r in rows] == ["neighborhood", "constant-fiber"] * 2
+    # the report's values are those of the case builders on the same draws
+    rng = random.Random(5)
+    values = []
+    for _ in range(2):
+        nbhd = neighborhood_case(rng, DENSITY_EPS)
+        const = constant_fiber_case(rng, DENSITY_EPS)
+        residual = max(nbhd.out.fiber_residuals + nbhd.out.aut_residuals)
+        values += [f"{x.numerator}/{x.denominator}" for x in (residual, const.out.lu_value)]
+    assert [r.split(",")[3] for r in rows] == values
+
+
+# SHA-256 of each report with its trailing runtime column removed, recorded
+# before the CLI's corpora moved into the suites' case builders
+PINNED_REPORTS = [
+    (
+        "synthesize",
+        {"seed": "3", "count": "2", "level": "7", "height": "8", "k": "4",
+         "emit_certificates": "true"},
+        "cee869c7761af6a52d35090afcf98b36151b1eca64ac587b70b0e07c425ed4ac",
+    ),
+    (
+        "synthesize",
+        {"seed": "4", "count": "1", "level": "8", "height": "16", "k": "5",
+         "window": "6", "eps": "1/4", "emit_certificates": "true"},
+        "3ade6c46f57d0dbdbc29ec7b99d2d890971c11b63091be7101ced4fee3b22fb4",
+    ),
+    (
+        "metrics",
+        {"seed": "11", "level": "3", "window": "5", "count": "3"},
+        "8d2fbaa14fb393f4832f1620bfbd6f963005c6b28f48b1557937b765cd0d8dcd",
+    ),
+    (
+        "metrics",
+        {"a": "tilde { step 1 [(0 1), (1 2)] ; mpt 1 1 0 }",
+         "b": "tilde { step 0 [(0 2)] ; mpt 0 0 }"},
+        "f8ca629d1d7207053897d891087330a66f3e6f0ec8848f1adc81c484465ca6ba",
+    ),
+    (
+        "tower",
+        {"mpt": "shift:6", "height": "8", "bound": "0"},
+        "dca0f46336ebce481316753a97b4ca627acd0c6963563d9fb9c2df297cabffca",
+    ),
+    (
+        "tower",
+        {"mpt": "cycle:7", "seed": "5", "height": "16", "bound": "1/8"},
+        "1ab971b1ae8e8a5c43ae0e0270c23a731b42fa661a3da8960ee6e5f72ac521d0",
+    ),
+    (
+        "power",
+        {"perm": "(0 1 2 3 4 5)(6 7 8 9)", "n": "4"},
+        "13578b3fb6c0c0ac10a12f69559043429050901dcdec2719682a42b9c561989c",
+    ),
+    (
+        "power",
+        {"seed": "2", "count": "5", "max_n": "6"},
+        "7e7bc98407a12670c6e136eb1fbf6d6bd4bedfba1de97bb78f3a91c2578fa417",
+    ),
+    (
+        "verify",
+        {"scale": "0.02", "seed": "1"},
+        "e2c393a0dc56112e4f9860a361651e5236c7b317ab0acde40aab2f8771cc09ab",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command,cfg,digest",
+    PINNED_REPORTS,
+    ids=[f"{c}-{i}" for i, (c, _, _) in enumerate(PINNED_REPORTS)],
+)
+def test_pinned_report_digests(command, cfg, digest):
+    status, rep = run_command(command, cfg)
+    assert status == 0
+    rows = list(csv.reader(io.StringIO(rep)))
+    assert rows[0][-1] == "runtime_s"
+    body = "\n".join(",".join(r[:-1]) for r in rows)
+    assert hashlib.sha256(body.encode()).hexdigest() == digest

@@ -8,7 +8,7 @@ import pytest
 from randlab.corpus import rand_step_nat, rand_tilde_perm, rand_window_perm
 from randlab.dyadic import DyadicSet
 from randlab.errors import ParseError
-from randlab.stepfn import StepFn
+from randlab.stepfn import StepFn, parse_step
 from randlab.synthesis import (
     SynthesisTask,
     format_synthesis_result,
@@ -60,6 +60,12 @@ def test_nbhd_parse_errors():
         parse_nbhd("nbhd weird {\n}")
     with pytest.raises(ParseError):
         parse_nbhd("nbhd pointwise {\n  test step 0 [1]\n}")
+
+
+@pytest.mark.parametrize("text", ["step 1 [(0 1)]", "step -1 [()]"])
+def test_step_value_count_must_match_level(text):
+    with pytest.raises(ParseError, match="values at level"):
+        parse_step(text)
 
 
 def test_synthesis_task_round_trip():

@@ -456,3 +456,23 @@ def test_synthesis_short_user_sigma_raises():
     )
     with pytest.raises(InsufficientCycles):
         synthesize_conjugator(task)
+
+
+
+# no height N has 2/N < eps <= 0, so the default height must refuse such eps
+@pytest.mark.parametrize("eps", [F(0), F(-1, 2)])
+def test_window_task_default_height_needs_positive_eps(eps):
+    task = SynthesisTask(
+        sigma=None, s=DyadicMPT.shift(4), h=StepFn.constant(E, 4), k=2, eps=eps
+    )
+    with pytest.raises(ValueError, match="eps must be positive"):
+        synthesize_conjugator(task)
+
+
+@pytest.mark.parametrize("eps", [F(0), F(-1, 2)])
+def test_metric_task_default_height_needs_positive_eps(eps):
+    sigma = DyadicMPT.shift(4)
+    h = StepFn.constant(sigma, 2)
+    task = MetricSynthesisTask(sigma=sigma, s=DyadicMPT.shift(4), h=h, eps_g=F(1, 8), eps=eps)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        synthesize_conjugator_metric(task)
