@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .corpus import rand_full_cycle, rand_pl, rand_tilde_perm, rand_window_perm
 from .dyadic import (
+    MAX_LEVEL,
     DyadicMPT,
     delta_u,
     delta_u_prime,
@@ -129,9 +130,9 @@ def _mpt_from_config(cfg, key, rng) -> DyadicMPT:
         return parse_mpt(value)
     kind, _, level = value.partition(":")
     if kind == "shift":
-        return DyadicMPT.shift(_int({key: level}, key, lo=0))
+        return DyadicMPT.shift(_int({key: level}, key, lo=0, hi=MAX_LEVEL))
     if kind == "cycle":
-        return rand_full_cycle(rng, _int({key: level}, key, lo=0))
+        return rand_full_cycle(rng, _int({key: level}, key, lo=0, hi=MAX_LEVEL))
     raise ConfigError(
         f"{key!r} must be 'mpt <level> <images>', 'shift:<level>' or 'cycle:<level>'"
     )
@@ -149,7 +150,7 @@ def cmd_metrics(cfg):
         rng = None
     else:
         rng = random.Random(_need_seed(cfg))
-        level = _int(cfg, "level", 4, lo=0)
+        level = _int(cfg, "level", 4, lo=0, hi=MAX_LEVEL)
         window = _int(cfg, "window", 6, lo=0)
         count = _int(cfg, "count", 10)
         pairs = [
@@ -211,7 +212,7 @@ def cmd_tower(cfg):
 def cmd_synthesize(cfg):
     rng = random.Random(_need_seed(cfg))
     count = _int(cfg, "count", 1)
-    level = _int(cfg, "level", 9, lo=0)
+    level = _int(cfg, "level", 9, lo=0, hi=MAX_LEVEL)
     height = _int(cfg, "height", 8, lo=1, hi=2 ** level)
     k = _int(cfg, "k", 4, lo=1)
     window = _int(cfg, "window", 8, lo=0)

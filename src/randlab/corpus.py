@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .dyadic import DyadicMPT
 from .groups import PLOrderAut, WindowPerm
-from .spaces import FiniteMetricSpace, SpaceIsometry, discrete_space, isometry_group
+from .spaces import FiniteMetricSpace, SpaceIsometry, discrete_space
 from .stepfn import StepFn
 from .tilde import TildeElement
 

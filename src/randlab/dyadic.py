@@ -14,11 +14,11 @@ power-of-two denominators; there is no floating point in this module.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import perm
 from .errors import (
     LeftoverIndivisible,
     NotAperiodic,
@@ -28,6 +28,10 @@ from .errors import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Finest partition level accepted from text and config input: level 16
+# already has 65536 intervals, and every algorithm here enumerates them.
+MAX_LEVEL = 16
 
 
 def point_interval(level: int, omega: Fraction) -> int:
@@ -74,18 +78,6 @@ class DyadicSet:
             level, frozenset(k * i + j for i in self.members for j in range(k))
         )
 
-    def reduce(self) -> "DyadicSet":
-        """Canonical form: coarsest level representing the same set."""
-        level, members = self.level, set(self.members)
-        while level > 0:
-            paired = {i // 2 for i in members}
-            if all(2 * p in members and 2 * p + 1 in members for p in paired):
-                members = paired
-                level -= 1
-            else:
-                break
-        return DyadicSet(level, frozenset(members))
-
     def same_set(self, other: "DyadicSet") -> bool:
         m = max(self.level, other.level)
         return self.refine(m).members == other.refine(m).members
@@ -97,10 +89,6 @@ class DyadicSet:
     def intersection(self, other: "DyadicSet") -> "DyadicSet":
         m = max(self.level, other.level)
         return DyadicSet(m, self.refine(m).members & other.refine(m).members)
-
-    def difference(self, other: "DyadicSet") -> "DyadicSet":
-        m = max(self.level, other.level)
-        return DyadicSet(m, self.refine(m).members - other.refine(m).members)
 
     def symmetric_difference(self, other: "DyadicSet") -> "DyadicSet":
         m = max(self.level, other.level)
@@ -125,9 +113,9 @@ class DyadicMPT:
 
     def __post_init__(self):
         n = 2 ** self.level
-        perm = tuple(self.perm)
-        object.__setattr__(self, "perm", perm)
-        if len(perm) != n or sorted(perm) != list(range(n)):
+        images = tuple(self.perm)
+        object.__setattr__(self, "perm", images)
+        if len(images) != n or sorted(images) != list(range(n)):
             raise ValueError(f"perm is not a bijection of 0..{n - 1}")
 
     # -- construction -----------------------------------------------------
@@ -144,12 +132,7 @@ class DyadicMPT:
 
     @staticmethod
     def from_cycles(level: int, cycles: Iterable[Sequence[int]]) -> "DyadicMPT":
-        n = 2 ** level
-        perm = list(range(n))
-        for cyc in cycles:
-            for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
-                perm[a] = b
-        return DyadicMPT(level, tuple(perm))
+        return DyadicMPT(level, perm.close_cycles(range(2 ** level), cycles))
 
     # -- structure --------------------------------------------------------
 
@@ -163,20 +146,6 @@ class DyadicMPT:
             tuple(self.perm[i] * k + j for i in range(2 ** self.level) for j in range(k)),
         )
 
-    def reduce(self) -> "DyadicMPT":
-        """Canonical form: coarsest level inducing the same point map."""
-        level, perm = self.level, list(self.perm)
-        while level > 0:
-            ok = all(
-                perm[2 * i] % 2 == 0 and perm[2 * i + 1] == perm[2 * i] + 1
-                for i in range(len(perm) // 2)
-            )
-            if not ok:
-                break
-            perm = [perm[2 * i] // 2 for i in range(len(perm) // 2)]
-            level -= 1
-        return DyadicMPT(level, tuple(perm))
-
     def same_map(self, other: "DyadicMPT") -> bool:
         m = max(self.level, other.level)
         return self.refine(m).perm == other.refine(m).perm
@@ -186,24 +155,13 @@ class DyadicMPT:
     def __mul__(self, other: "DyadicMPT") -> "DyadicMPT":
         """Composition of point maps: ``(self * other)(x) = self(other(x))``."""
         m = max(self.level, other.level)
-        a, b = self.refine(m).perm, other.refine(m).perm
-        return DyadicMPT(m, tuple(a[b[i]] for i in range(len(a))))
+        return DyadicMPT(m, perm.compose(self.refine(m).perm, other.refine(m).perm))
 
     def inverse(self) -> "DyadicMPT":
-        inv = [0] * len(self.perm)
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return DyadicMPT(self.level, tuple(inv))
+        return DyadicMPT(self.level, perm.invert(self.perm))
 
     def __pow__(self, n: int) -> "DyadicMPT":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = [0] * len(self.perm)
-        for cyc in self.cycles(include_fixed=True):
-            k = len(cyc)
-            for pos, i in enumerate(cyc):
-                result[i] = cyc[(pos + n) % k]
-        return DyadicMPT(self.level, tuple(result))
+        return DyadicMPT(self.level, perm.power(self.perm, n))
 
     def conj(self, by: "DyadicMPT") -> "DyadicMPT":
         """``by**-1 * self * by``."""
@@ -213,9 +171,6 @@ class DyadicMPT:
         return all(j == i for i, j in enumerate(self.perm))
 
     # -- point dynamics -----------------------------------------------------
-
-    def apply_index(self, i: int) -> int:
-        return self.perm[i]
 
     def apply_point(self, omega: Fraction) -> Fraction:
         i = point_interval(self.level, omega)
@@ -228,21 +183,7 @@ class DyadicMPT:
 
     def cycles(self, include_fixed: bool = False) -> list[list[int]]:
         """Cycle decomposition; each cycle starts at its least index."""
-        seen = [False] * len(self.perm)
-        out = []
-        for start in range(len(self.perm)):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            j = self.perm[start]
-            while j != start:
-                seen[j] = True
-                cyc.append(j)
-                j = self.perm[j]
-            if len(cyc) > 1 or include_fixed:
-                out.append(cyc)
-        return out
+        return perm.cycles(self.perm, include_fixed)
 
     def cycle_census(self) -> dict[int, int]:
         """Multiset of cycle lengths (fixed intervals count as 1-cycles)."""
@@ -364,9 +305,6 @@ class TowerData:
             out = out.union(lv)
         return out
 
-    def column_bases(self) -> list[int]:
-        return sorted(self.base.members)
-
     def validate(self, t: DyadicMPT) -> None:
         """Enumeration checks of every tower postcondition; raises on failure."""
         n = 2 ** self.level
@@ -412,17 +350,11 @@ def rokhlin_tower(t: DyadicMPT, height: int, bound: Fraction) -> TowerData:
             f"cycle of length {len(short[0])} < height {height} at interval {short[0][0]}"
         )
     n = 2 ** t.level
-    base: set[int] = set()
+    segments: list[list[int]] = []
     leftover: set[int] = set()
-    perm0 = list(range(n))
     for cyc in cycles:
         full = (len(cyc) // height) * height
-        for start in range(0, full, height):
-            base.add(cyc[start])
-            segment = cyc[start:start + height]
-            for a, b in zip(segment, segment[1:]):
-                perm0[a] = b
-            perm0[segment[-1]] = segment[0]
+        segments.extend(cyc[start:start + height] for start in range(0, full, height))
         leftover.update(cyc[full:])
     leftover_measure = Fraction(len(leftover), n)
     if leftover_measure > bound:
@@ -432,13 +364,9 @@ def rokhlin_tower(t: DyadicMPT, height: int, bound: Fraction) -> TowerData:
     # group the leftover into height-cycles in index order
     rest = sorted(leftover)
     exact = len(rest) % height == 0
-    for k in range(0, len(rest) - height + 1, height):
-        block = rest[k:k + height]
-        for a, b in zip(block, block[1:]):
-            perm0[a] = b
-        perm0[block[-1]] = block[0]
-    s0 = DyadicMPT(t.level, tuple(perm0))
-    base_set = DyadicSet(t.level, frozenset(base))
+    blocks = [rest[k:k + height] for k in range(0, len(rest) - height + 1, height)]
+    s0 = DyadicMPT(t.level, perm.close_cycles(range(n), segments + blocks))
+    base_set = DyadicSet(t.level, frozenset(seg[0] for seg in segments))
     levels = [base_set]
     for _ in range(height - 1):
         levels.append(t.image(levels[-1]))
@@ -535,15 +463,9 @@ class ConjugacyMatch:
 
 def _exact_conjugator(t0: DyadicMPT, s0: DyadicMPT) -> DyadicMPT:
     """Permutation r with ``r**-1 * t0 * r == s0`` for equal cycle types."""
-    tc = sorted(t0.cycles(include_fixed=True), key=lambda c: (len(c), c[0]))
-    sc = sorted(s0.cycles(include_fixed=True), key=lambda c: (len(c), c[0]))
-    n = len(t0.perm)
-    r = [0] * n
-    for ct, cs in zip(tc, sc):
-        assert len(ct) == len(cs)
-        for a, b in zip(cs, ct):
-            r[a] = b
-    return DyadicMPT(t0.level, tuple(r))
+    r = perm.conjugator(t0.perm, s0.perm)
+    assert r is not None
+    return DyadicMPT(t0.level, r)
 
 
 def mpt_conjugate_match(
@@ -603,6 +525,11 @@ def mpt_conjugate_match(
 # Text serialization
 # ---------------------------------------------------------------------------
 
+def _check_level(level: int) -> None:
+    if not 0 <= level <= MAX_LEVEL:
+        raise ParseError(f"level {level} outside 0..{MAX_LEVEL}")
+
+
 def format_mpt(t: DyadicMPT) -> str:
     return "mpt {} {}".format(t.level, " ".join(str(i) for i in t.perm))
 
@@ -613,12 +540,16 @@ def parse_mpt(text: str) -> DyadicMPT:
         raise ParseError(f"expected 'mpt <level> <images>', got {text!r}")
     try:
         level = int(parts[1])
-        perm = tuple(int(p) for p in parts[2:])
+        images = tuple(int(p) for p in parts[2:])
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    if sorted(perm) != list(range(2 ** level)):
-        raise ParseError("images do not form a bijection")
-    return DyadicMPT(level, perm)
+    _check_level(level)
+    if len(images) != 2 ** level:
+        raise ParseError(f"need {2 ** level} images at level {level}, got {len(images)}")
+    try:
+        return DyadicMPT(level, images)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def format_set(s: DyadicSet) -> str:
@@ -634,6 +565,8 @@ def parse_set(text: str) -> DyadicSet:
         members = frozenset(int(p) for p in parts[2:])
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    if any(not 0 <= i < 2 ** level for i in members):
-        raise ParseError("interval index out of range")
-    return DyadicSet(level, members)
+    _check_level(level)
+    try:
+        return DyadicSet(level, members)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

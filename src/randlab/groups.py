@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
+from . import perm
+from .dyadic import DyadicMPT
 from .errors import InsufficientCycles, NotInjective, ParseError
 
 # ---------------------------------------------------------------------------
@@ -73,24 +75,13 @@ class WindowPerm:
 
     def __mul__(self, other: "WindowPerm") -> "WindowPerm":
         """Composition of maps: ``(a * b)(n) = a(b(n))``."""
-        w = max(self.window, other.window)
-        return WindowPerm(self(other(n)) for n in range(w))
+        return WindowPerm(perm.compose(self._map, other._map))
 
     def inverse(self) -> "WindowPerm":
-        inv = [0] * self.window
-        for n, i in enumerate(self._map):
-            inv[i] = n
-        return WindowPerm(inv)
+        return WindowPerm(perm.invert(self._map))
 
     def __pow__(self, n: int) -> "WindowPerm":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = list(range(self.window))
-        for cyc in self.cycles():
-            k = len(cyc)
-            for pos, a in enumerate(cyc):
-                out[a] = cyc[(pos + n) % k]
-        return WindowPerm(out)
+        return WindowPerm(perm.power(self._map, n))
 
     def conj(self, by: "WindowPerm") -> "WindowPerm":
         """``by**-1 * self * by``."""
@@ -100,20 +91,7 @@ class WindowPerm:
 
     def cycles(self) -> list[list[int]]:
         """Nontrivial cycles, each starting at its least point, sorted."""
-        seen = set()
-        out = []
-        for start in range(self.window):
-            if start in seen or self._map[start] == start:
-                continue
-            cyc = [start]
-            seen.add(start)
-            j = self._map[start]
-            while j != start:
-                seen.add(j)
-                cyc.append(j)
-                j = self._map[j]
-            out.append(cyc)
-        return out
+        return perm.cycles(self._map)
 
     def cycle_census(self, window: int | None = None) -> Counter:
         """Cycle-length multiset over ``range(window)`` (1-cycles included)."""
@@ -135,11 +113,7 @@ def from_cycles(cycles: Iterable[Sequence[int]]) -> WindowPerm:
     if len(pts) != len(set(pts)):
         raise ValueError("cycles are not disjoint")
     w = max(pts) + 1 if pts else 0
-    m = list(range(w))
-    for cyc in cycles:
-        for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
-            m[a] = b
-    return WindowPerm(m)
+    return WindowPerm(perm.close_cycles(range(w), cycles))
 
 
 def transposition(a: int, b: int) -> WindowPerm:
@@ -396,14 +370,7 @@ def match_partial(
         + [v + 1 for v in assignments.values()]
         + [k + 1 for k in assignments]
     )
-    sources = sorted(set(range(width)) - set(assignments))
-    images = sorted(set(range(width)) - set(assignments.values()))
-    rho_map = list(range(width))
-    for k, v in assignments.items():
-        rho_map[k] = v
-    for k, v in zip(sources, images):
-        rho_map[k] = v
-    rho = WindowPerm(rho_map)
+    rho = WindowPerm(perm.complete(assignments, width))
     conj = rho.inverse() * power * rho
     for k, v in target.items():
         assert conj(k) == v, "window match postcondition failed"
@@ -657,8 +624,6 @@ def power_invariance_check(g, n: int) -> PowerInvarianceReport:
     cycle lengths (with the gcd prediction), order automorphisms compare
     orbital/sign reports, window permutations report the power census.
     """
-    from .dyadic import DyadicMPT  # local import to avoid a cycle
-
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(g, DyadicMPT):

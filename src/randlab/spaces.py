@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping
 
+from . import perm
 from .errors import DegenerateSpace, MismatchedSpace
 
 
@@ -51,9 +52,6 @@ class FiniteMetricSpace:
 
     def d(self, p: Hashable, q: Hashable) -> Fraction:
         return self.distances[self.index(p)][self.index(q)]
-
-    def metric(self):
-        return self.d
 
     def diameter_pair(self) -> tuple[Hashable, Hashable, Fraction]:
         """A maximal-distance pair (first in point order) and its distance."""
@@ -115,15 +113,10 @@ class SpaceIsometry:
     def __mul__(self, other: "SpaceIsometry") -> "SpaceIsometry":
         if self.space != other.space:
             raise MismatchedSpace("isometries of different spaces")
-        return SpaceIsometry(
-            self.space, tuple(self.mapping[j] for j in other.mapping)
-        )
+        return SpaceIsometry(self.space, perm.compose(self.mapping, other.mapping))
 
     def inverse(self) -> "SpaceIsometry":
-        inv = [0] * len(self.mapping)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return SpaceIsometry(self.space, tuple(inv))
+        return SpaceIsometry(self.space, perm.invert(self.mapping))
 
     def conj(self, by: "SpaceIsometry") -> "SpaceIsometry":
         return by.inverse() * self * by

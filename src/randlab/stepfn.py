@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from . import perm
 from .dyadic import DyadicMPT, DyadicSet
-from .errors import MismatchedSpace, NotConverging, ParseError, Unmatchable
+from .errors import MismatchedSpace, NotConverging, ParseError, RandlabError, Unmatchable
 from .groups import (
     E,
     WindowPerm,
@@ -121,25 +122,9 @@ class StepFn:
         k = 2 ** (level - self.level)
         return StepFn(level, tuple(v for v in self.values for _ in range(k)))
 
-    def reduce(self) -> "StepFn":
-        level, vals = self.level, list(self.values)
-        while level > 0:
-            pairs = [vals[2 * i] == vals[2 * i + 1] for i in range(len(vals) // 2)]
-            if all(pairs):
-                vals = [vals[2 * i] for i in range(len(vals) // 2)]
-                level -= 1
-            else:
-                break
-        return StepFn(level, tuple(vals))
-
     def same_function(self, other: "StepFn") -> bool:
         m = max(self.level, other.level)
         return self.refine(m).values == other.refine(m).values
-
-    def value_at(self, omega: Fraction):
-        if not 0 <= omega < 1:
-            raise ValueError("point outside [0,1)")
-        return self.values[int(omega * 2 ** self.level)]
 
     def where(self, predicate) -> DyadicSet:
         return DyadicSet(
@@ -308,23 +293,10 @@ def exact_perm_conjugator(g: WindowPerm, v: WindowPerm) -> WindowPerm | None:
     Exists precisely when the nontrivial cycle censuses agree; cycles are
     paired by length in least-point order.
     """
-    gc = sorted(g.cycles(), key=lambda c: (len(c), c[0]))
-    vc = sorted(v.cycles(), key=lambda c: (len(c), c[0]))
-    if [len(c) for c in gc] != [len(c) for c in vc]:
+    r = perm.conjugator(g.images, v.images)
+    if r is None:
         return None
-    width = max([g.window, v.window] or [0])
-    assignment: dict[int, int] = {}
-    for cg, cv in zip(gc, vc):
-        for a, b in zip(cv, cg):
-            assignment[a] = b
-    sources = sorted(set(range(width)) - set(assignment))
-    images = sorted(set(range(width)) - set(assignment.values()))
-    rho_map = list(range(width))
-    for k, val in assignment.items():
-        rho_map[k] = val
-    for k, val in zip(sources, images):
-        rho_map[k] = val
-    rho = WindowPerm(rho_map)
+    rho = WindowPerm(r)
     assert g.conj(rho) == v
     return rho
 
@@ -368,8 +340,6 @@ def constant_generic_conjugator(
         if not value_kind(f.values[0]).discrete:
             raise ValueError("metric_u required for non-permutation values")
         metric_u = window_du(k)
-    from .errors import RandlabError
-
     conjugators = []
     for i, v in enumerate(f.values):
         try:

@@ -33,23 +33,27 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Mapping, Sequence
 
+from . import perm
 from .dyadic import (
     DyadicMPT,
     TowerData,
     _exact_conjugator,
     delta_u,
+    format_mpt,
     mpt_conjugate_match,
+    parse_mpt,
     periodic_approximation,
 )
 from .errors import (
     InsufficientCycles,
     NotExactTower,
     OracleFailure,
+    ParseError,
     RandlabError,
     SimultaneousMatchUnsupported,
 )
-from .groups import E, WindowPerm, cycle_pack, match_partial
-from .stepfn import StepFn, value_kind
+from .groups import E, WindowPerm, cycle_pack, format_cycles, match_partial, parse_cycles
+from .stepfn import StepFn, format_step, parse_step, value_kind
 from .tilde import (
     ProductNbhd,
     TildeElement,
@@ -151,10 +155,6 @@ class SynthesisResult:
 
 
 def format_synthesis_task(task: SynthesisTask) -> str:
-    from .groups import format_cycles
-    from .dyadic import format_mpt
-    from .stepfn import format_step
-
     lines = ["synthesis {"]
     lines.append(
         "  sigma " + ("auto" if task.sigma is None else format_cycles(task.sigma))
@@ -171,11 +171,6 @@ def format_synthesis_task(task: SynthesisTask) -> str:
 
 
 def parse_synthesis_task(text: str) -> SynthesisTask:
-    from .errors import ParseError
-    from .groups import parse_cycles
-    from .dyadic import parse_mpt
-    from .stepfn import parse_step
-
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines or lines[0] != "synthesis {" or lines[-1] != "}":
         raise ParseError("expected a 'synthesis { ... }' block")
@@ -409,22 +404,15 @@ def nearest_of_cycle_type(
         else:
             keep_rest.append(cyc)
     missing = sorted(need.elements())
-    perm = list(t.perm)
-    if keep_rest or missing:
-        merged: list[int] = []
-        for cyc in keep_rest:
-            merged.extend(cyc)
-        # chain the stray cycles into one loop, then cut it into the
-        # missing lengths; only chunk ends get new images
-        pos = 0
-        for length in missing:
-            chunk = merged[pos:pos + length]
-            for a, b in zip(chunk, chunk[1:]):
-                perm[a] = b
-            perm[chunk[-1]] = chunk[0]
-            pos += length
-        assert pos == len(merged)
-    q = DyadicMPT(t.level, tuple(perm))
+    merged = [p for cyc in keep_rest for p in cyc]
+    # chain the stray cycles into one loop, then cut it into the missing
+    # lengths; only chunk ends get new images
+    chunks, pos = [], 0
+    for length in missing:
+        chunks.append(merged[pos:pos + length])
+        pos += length
+    assert pos == len(merged)
+    q = DyadicMPT(t.level, perm.close_cycles(t.perm, chunks))
     assert Counter(q.cycle_census()) == Counter(census)
     return q, delta_u(t, q)
 

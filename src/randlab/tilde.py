@@ -18,10 +18,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dyadic import DyadicMPT, DyadicSet
-from .errors import DegenerateSpace, MismatchedSpace, NotDiscrete
+from .dyadic import DyadicMPT, DyadicSet, format_mpt, format_set, parse_mpt, parse_set
+from .errors import DegenerateSpace, MismatchedSpace, NotDiscrete, ParseError
 from .groups import E
-from .stepfn import StepFn, dhat, l0_mul, value_kind, zip_values
+from .stepfn import (
+    StepFn,
+    dhat,
+    format_step,
+    format_value,
+    l0_mul,
+    parse_step,
+    parse_value,
+    value_kind,
+    zip_values,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -608,17 +618,10 @@ def lu_estimate(
 # ---------------------------------------------------------------------------
 
 def format_tilde(a: TildeElement) -> str:
-    from .dyadic import format_mpt
-    from .stepfn import format_step
-
     return f"tilde {{ {format_step(a.f)} ; {format_mpt(a.t)} }}"
 
 
 def parse_tilde(text: str) -> TildeElement:
-    from .dyadic import parse_mpt
-    from .errors import ParseError
-    from .stepfn import parse_step
-
     text = text.strip()
     if not (text.startswith("tilde") and "{" in text and text.endswith("}")):
         raise ParseError(f"expected 'tilde {{ step ... ; mpt ... }}', got {text!r}")
@@ -635,9 +638,6 @@ def _frac_text(x: Fraction) -> str:
 
 def format_nbhd(nbhd: PointwiseNbhd | ProductNbhd) -> str:
     """Neighborhood block: one test or condition per line with its radius."""
-    from .dyadic import format_set
-    from .stepfn import format_step, format_value
-
     lines = []
     if isinstance(nbhd, PointwiseNbhd):
         lines.append("nbhd pointwise {")
@@ -656,10 +656,6 @@ def format_nbhd(nbhd: PointwiseNbhd | ProductNbhd) -> str:
 
 
 def parse_nbhd(text: str) -> PointwiseNbhd | ProductNbhd:
-    from .dyadic import parse_set
-    from .errors import ParseError
-    from .stepfn import parse_step, parse_value
-
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines or not lines[0].startswith("nbhd") or lines[-1] != "}":
         raise ParseError("expected an 'nbhd <form> { ... }' block")

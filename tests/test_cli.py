@@ -9,6 +9,7 @@ import random
 import pytest
 
 from randlab.cli import config_digest, main, parse_config, run_command
+from randlab.dyadic import MAX_LEVEL
 from randlab.errors import ConfigError
 from randlab.suites import (
     DENSITY_EPS,
@@ -187,6 +188,23 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, text):
     cfg = write(tmp_path, "bad.cfg", text)
     assert main([command, "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("tower", "mpt = shift:64\nheight = 1\n"),
+        ("tower", "mpt = cycle:64\nheight = 1\n"),
+        ("tower", "mpt = mpt 64 0\nheight = 1\n"),
+        ("tower", "mpt = mpt -1\nheight = 1\n"),
+        ("synthesize", "seed = 1\nlevel = 64\n"),
+        ("metrics", "seed = 1\nlevel = 64\n"),
+    ],
+)
+def test_levels_past_the_bound_exit_2(tmp_path, capsys, command, text):
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main([command, "--config", cfg]) == 2
+    assert str(MAX_LEVEL) in capsys.readouterr().err
 
 
 def test_suite_with_zero_checks_fails():

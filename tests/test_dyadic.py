@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from randlab.dyadic import (
+    MAX_LEVEL,
     DyadicMPT,
     DyadicSet,
     delta_u,
@@ -258,3 +259,16 @@ def test_parser_rejects_non_bijection():
         parse_mpt("mpt 1 0 0")
     with pytest.raises(ParseError):
         parse_set("set 1 5")
+
+
+@pytest.mark.parametrize(
+    "text", ["mpt -1", "mpt 17 0", "mpt 64 0", "mpt 1 0", "set -1", "set 64 0"]
+)
+def test_parsers_reject_levels_outside_the_bound_and_short_image_lists(text):
+    parse = parse_mpt if text.startswith("mpt") else parse_set
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+def test_parsers_accept_the_finest_level():
+    assert parse_set(f"set {MAX_LEVEL} 0").measure == F(1, 2 ** MAX_LEVEL)
