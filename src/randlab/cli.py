@@ -30,12 +30,13 @@ from .dyadic import (
     delta_u,
     delta_u_prime,
     delta_w,
+    format_fraction,
     parse_mpt,
     periodic_approximation,
     rokhlin_tower,
 )
 from .errors import ConfigError, RandlabError
-from .groups import parse_cycles, perm_dp, perm_du, power_invariance_check
+from .groups import MAX_WINDOW, parse_cycles, perm_dp, perm_du, power_invariance_check
 from .stepfn import dhat
 from .suites import (
     DENSITY_EPS,
@@ -118,7 +119,7 @@ def _need_seed(cfg) -> int:
 
 def fmt(x) -> str:
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return format_fraction(x)
     if isinstance(x, bool):
         return "true" if x else "false"
     return str(x)
@@ -151,7 +152,7 @@ def cmd_metrics(cfg):
     else:
         rng = random.Random(_need_seed(cfg))
         level = _int(cfg, "level", 4, lo=0, hi=MAX_LEVEL)
-        window = _int(cfg, "window", 6, lo=0)
+        window = _int(cfg, "window", 6, lo=0, hi=MAX_WINDOW)
         count = _int(cfg, "count", 10)
         pairs = [
             (i, rand_tilde_perm(rng, level, window), rand_tilde_perm(rng, level, window))
@@ -215,7 +216,7 @@ def cmd_synthesize(cfg):
     level = _int(cfg, "level", 9, lo=0, hi=MAX_LEVEL)
     height = _int(cfg, "height", 8, lo=1, hi=2 ** level)
     k = _int(cfg, "k", 4, lo=1)
-    window = _int(cfg, "window", 8, lo=0)
+    window = _int(cfg, "window", 8, lo=0, hi=MAX_WINDOW)
     eps = _frac(cfg, "eps", positive=True) if "eps" in cfg else None
     emit_certs = cfg.get("emit_certificates", "false") == "true"
     rows = []

@@ -525,6 +525,11 @@ def mpt_conjugate_match(
 # Text serialization
 # ---------------------------------------------------------------------------
 
+def format_fraction(x: Fraction) -> str:
+    """Exact text form ``p/q`` of a rational, also for integers."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def _check_level(level: int) -> None:
     if not 0 <= level <= MAX_LEVEL:
         raise ParseError(f"level {level} outside 0..{MAX_LEVEL}")

@@ -19,12 +19,17 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from . import perm
-from .dyadic import DyadicMPT
+from .dyadic import DyadicMPT, format_fraction
 from .errors import InsufficientCycles, NotInjective, ParseError
 
 # ---------------------------------------------------------------------------
 # Window permutations
 # ---------------------------------------------------------------------------
+
+# Largest window a sampled experiment accepts: over 8x the largest window
+# any acceptance criterion or benchmark workload uses (480).
+MAX_WINDOW = 4096
+
 
 class WindowPerm:
     """Permutation of the naturals equal to the identity outside a window.
@@ -109,6 +114,7 @@ E = WindowPerm(())
 
 
 def from_cycles(cycles: Iterable[Sequence[int]]) -> WindowPerm:
+    cycles = list(cycles)  # read a generator once, not once per pass
     pts = [p for cyc in cycles for p in cyc]
     if len(pts) != len(set(pts)):
         raise ValueError("cycles are not disjoint")
@@ -673,17 +679,13 @@ def power_invariance_check(g, n: int) -> PowerInvarianceReport:
 # Serialization for order automorphisms
 # ---------------------------------------------------------------------------
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def format_pl(g: PLOrderAut) -> str:
     """Format as ``piece a b | x<c; ...`` with rationals as p/q."""
     parts = []
     for i, (a, c) in enumerate(g.pieces):
-        text = f"piece {_frac(a)} {_frac(c)}"
+        text = f"piece {format_fraction(a)} {format_fraction(c)}"
         if i < len(g.breakpoints):
-            text += f" | x<{_frac(g.breakpoints[i])}"
+            text += f" | x<{format_fraction(g.breakpoints[i])}"
         parts.append(text)
     return "; ".join(parts)
 

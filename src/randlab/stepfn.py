@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import perm
-from .dyadic import DyadicMPT, DyadicSet
+from .dyadic import DyadicMPT, DyadicSet, format_fraction
 from .errors import MismatchedSpace, NotConverging, ParseError, RandlabError, Unmatchable
 from .groups import (
     E,
@@ -372,7 +372,7 @@ def format_value(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return format_fraction(v)
     raise ParseError(f"no text form for value kind {type(v).__name__}")
 
 
@@ -393,7 +393,7 @@ def format_step(f: StepFn) -> str:
     return f"step {f.level} [{body}]"
 
 
-def parse_step(text: str, value_parser=parse_value) -> StepFn:
+def parse_step(text: str) -> StepFn:
     text = text.strip()
     m = text.split(None, 2)
     if len(m) != 3 or m[0] != "step" or not m[2].startswith("["):
@@ -420,7 +420,7 @@ def parse_step(text: str, value_parser=parse_value) -> StepFn:
             cur += ch
     if cur.strip():
         parts.append(cur)
-    values = tuple(value_parser(p) for p in parts)
+    values = tuple(parse_value(p) for p in parts)
     try:
         return StepFn(level, values)
     except ValueError as exc:  # a value count that does not match the level

@@ -39,6 +39,7 @@ from .dyadic import (
     TowerData,
     _exact_conjugator,
     delta_u,
+    format_fraction,
     format_mpt,
     mpt_conjugate_match,
     parse_mpt,
@@ -63,7 +64,6 @@ from .tilde import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +122,28 @@ def _tower_setup(
     return height, pa.s0, pa.exact_tower, task.h.refine(level)
 
 
+def _scatter(level: int, cycles: Sequence[Sequence[int]], solve: Callable) -> StepFn:
+    """Step function of ``level`` holding ``solve(cycle)`` along each cycle.
+
+    The cycles must partition the ``2**level`` intervals.
+    """
+    values: list = [None] * 2 ** level
+    for cyc in cycles:
+        for idx, value in zip(cyc, solve(cyc)):
+            values[idx] = value
+    assert all(v is not None for v in values)
+    return StepFn(level, tuple(values))
+
+
+def _agreement(s: DyadicMPT, level: int, holds: Callable[[int, int], bool]) -> Fraction:
+    """Exact mass of the level-``level`` intervals ``y`` where
+    ``holds(y, S**-1 y)``."""
+    s_inv = s.refine(level).inverse()
+    n_intervals = 2 ** level
+    agree = sum(1 for y in range(n_intervals) if holds(y, s_inv.perm[y]))
+    return Fraction(agree, n_intervals)
+
+
 # ---------------------------------------------------------------------------
 # Window-case synthesis
 # ---------------------------------------------------------------------------
@@ -162,8 +184,7 @@ def format_synthesis_task(task: SynthesisTask) -> str:
     lines.append(f"  s {format_mpt(task.s)}")
     lines.append(f"  h {format_step(task.h)}")
     lines.append(f"  k {task.k}")
-    eps = Fraction(task.eps)
-    lines.append(f"  eps {eps.numerator}/{eps.denominator}")
+    lines.append(f"  eps {format_fraction(Fraction(task.eps))}")
     if task.height is not None:
         lines.append(f"  height {task.height}")
     lines.append("}")
@@ -201,8 +222,7 @@ def format_synthesis_result(result: SynthesisResult) -> str:
         f"  level {result.g.level}",
         f"  height {result.height}",
         f"  columns {len(result.tower.base.members)}",
-        "  agreement "
-        f"{result.agreement.numerator}/{result.agreement.denominator}",
+        f"  agreement {format_fraction(result.agreement)}",
         f"  certificates {ok}/{len(result.certificates)}",
         "}",
     ]
@@ -268,25 +288,20 @@ def synthesize_conjugator(task: SynthesisTask) -> SynthesisResult:
     domain = range(task.k)
     sigma = task.sigma if task.sigma is not None else sigma_budget(task.k, height)
     level = s0.level
-    n_intervals = 2 ** level
     sigma_power = sigma ** height
-    g_values: list[WindowPerm | None] = [None] * n_intervals
-    columns = []
-    for base in sorted(tower.base.members):
-        column = column_intervals(s0, base, height)
-        columns.append((base, column))
-        h_vals = [h.values[i] for i in column]
-        gs = _solve_column_window(sigma, h_vals, domain)
-        for idx, g_val in zip(column, gs):
-            g_values[idx] = g_val
-    assert all(v is not None for v in g_values)
-    g = StepFn(level, tuple(g_values))
+    columns = [column_intervals(s0, base, height) for base in sorted(tower.base.members)]
+    g = _scatter(
+        level,
+        columns,
+        lambda column: _solve_column_window(sigma, [h.values[i] for i in column], domain),
+    )
 
     # certificates by direct evaluation: the step condition at every tower
     # interval, then the loop condition at every column anchor
     s0_inv = s0.inverse()
     certificates = []
-    for base, column in columns:
+    for column in columns:
+        base = column[0]
         for pos, y in enumerate(column):
             prev = s0_inv.perm[y]
             for n in domain:
@@ -301,17 +316,13 @@ def synthesize_conjugator(task: SynthesisTask) -> SynthesisResult:
             certificates.append(("loop", base, height - 1, n, lhs_l, rhs_l, lhs_l == rhs_l))
 
     # exact agreement against the original map
-    s = task.s.refine(level)
-    s_inv = s.inverse()
-    agree = 0
-    for y in range(n_intervals):
-        prev = s_inv.perm[y]
-        ok = all(
-            g.values[y](h.values[y](n)) == sigma(g.values[prev](n))
-            for n in domain
-        )
-        agree += ok
-    agreement = Fraction(agree, n_intervals)
+    agreement = _agreement(
+        task.s,
+        level,
+        lambda y, prev: all(
+            g.values[y](h.values[y](n)) == sigma(g.values[prev](n)) for n in domain
+        ),
+    )
     return SynthesisResult(
         g=g,
         s0=s0,
@@ -331,7 +342,7 @@ def synthesize_conjugator(task: SynthesisTask) -> SynthesisResult:
 class MetricSynthesisTask:
     """Synthesis against a right-invariant metric tolerance."""
 
-    sigma: object            # base group element
+    sigma: DyadicMPT         # base group element
     s: DyadicMPT
     h: StepFn                # values in the base group
     eps_g: Fraction          # per-point metric tolerance
@@ -417,76 +428,56 @@ def nearest_of_cycle_type(
     return q, delta_u(t, q)
 
 
-def synthesize_conjugator_metric(
-    task: MetricSynthesisTask,
-    oracle: Callable | None = None,
-    metric: Callable | None = None,
-) -> MetricSynthesisResult:
+def synthesize_conjugator_metric(task: MetricSynthesisTask) -> MetricSynthesisResult:
     """Metric-group synthesis: base-anchored, extended upward exactly.
 
-    The oracle must return ``rho`` with ``d(rho**-1 sigma**N rho, t) <=
-    eps_g`` for the cyclically reversed column product ``t = h(x)
-    h(S0**(N-1) x) ... h(S0 x)``; right-invariance then gives the same
-    deviation for the wraparound step, while the upper levels are exact by
-    construction.  Every deviation is recomputed and certified.
+    The base group is the interval-map group under ``delta_u``, matched by
+    :func:`mpt_power_oracle`, which returns ``rho`` with ``d(rho**-1
+    sigma**N rho, t) <= eps_g`` for the cyclically reversed column product
+    ``t = h(x) h(S0**(N-1) x) ... h(S0 x)``; right-invariance then gives the
+    same deviation for the wraparound step, while the upper levels are
+    exact by construction.  Every deviation is recomputed and certified.
     """
+    if not isinstance(task.sigma, DyadicMPT):
+        raise OracleFailure(
+            "no power-matching oracle for this base group", component="base-group"
+        )
     eps_g = Fraction(task.eps_g)
-    if oracle is None or metric is None:
-        if not isinstance(task.sigma, DyadicMPT):
-            raise OracleFailure(
-                "no default oracle for this base group; pass oracle= and metric=",
-                component="base-group",
-            )
-        oracle = oracle or mpt_power_oracle(task.sigma)
-        metric = metric or delta_u
+    sigma = task.sigma
+    oracle = mpt_power_oracle(sigma)
     height, s0, tower, h = _tower_setup(task)
     level = h.level
-    sigma = task.sigma
 
-    n_intervals = 2 ** level
-    g_values: list = [None] * n_intervals
-    columns = []
-    for base in sorted(tower.base.members):
-        column = column_intervals(s0, base, height)
-        columns.append((base, column))
+    def solve(column: list[int]) -> list:
         h_vals = [h.values[i] for i in column]
         # reversed loop product: h(x) first in writing order, h(S0 x)
         # applied first
         reverse_target = (
             h_vals[0] * _column_product(h_vals[1:]) if height > 1 else h_vals[0]
         )
-        rho = oracle(height, reverse_target, eps_g)
-        gs = [rho]
+        gs = [oracle(height, reverse_target, eps_g)]
         for i in range(1, height):
             gs.append(sigma * gs[-1] * h_vals[i].inverse())
-        for idx, g_val in zip(column, gs):
-            g_values[idx] = g_val
-    assert all(v is not None for v in g_values)
-    g = StepFn(level, tuple(g_values))
+        return gs
+
+    columns = [column_intervals(s0, base, height) for base in sorted(tower.base.members)]
+    g = _scatter(level, columns, solve)
+
+    def deviation(y: int, prev: int) -> Fraction:
+        return delta_u(g.values[y].inverse() * sigma * g.values[prev], h.values[y])
 
     s0_inv = s0.inverse()
     certificates = []
-    for base, column in columns:
+    for column in columns:
         for pos, y in enumerate(column):
-            prev = s0_inv.perm[y]
-            dev = metric(
-                g.values[y].inverse() * sigma * g.values[prev], h.values[y]
-            )
-            certificates.append(("deviation", base, pos, dev, dev <= eps_g))
+            dev = deviation(y, s0_inv.perm[y])
+            certificates.append(("deviation", column[0], pos, dev, dev <= eps_g))
 
-    s = task.s.refine(level)
-    s_inv = s.inverse()
-    agree = 0
-    for y in range(n_intervals):
-        prev = s_inv.perm[y]
-        dev = metric(g.values[y].inverse() * sigma * g.values[prev], h.values[y])
-        agree += dev <= eps_g
-    agreement = Fraction(agree, n_intervals)
     return MetricSynthesisResult(
         g=g,
         s0=s0,
         tower=tower,
-        agreement=agreement,
+        agreement=_agreement(task.s, level, lambda y, prev: deviation(y, prev) <= eps_g),
         certificates=tuple(certificates),
         height=height,
     )
@@ -505,11 +496,84 @@ class ConjugationOutcome:
     aut_residuals: tuple
 
 
-def conjugate_into_neighborhood(
+def _marked(target: ProductNbhd) -> list[int]:
+    return [p for p, _ in target.value_conditions]
+
+
+def _transformation_factor(
+    t: DyadicMPT, targets: Sequence[ProductNbhd]
+) -> tuple[DyadicMPT, DyadicMPT]:
+    """Interval-map conjugator ``Q`` for the transformation factor.
+
+    ``Q`` is the identity when no target has a set condition, else a match
+    of ``t`` onto the (shared) transformation center at half the tightest
+    set-condition bound.  Returns ``Q`` with ``Q**-1 T Q`` refined to the
+    finest fiber-center level.
+    """
+    bounds = [b for tgt in targets for _, b in tgt.set_conditions]
+    if bounds:
+        try:
+            q = mpt_conjugate_match(t, targets[0].center_t, min(bounds) / 2).r
+        except RandlabError as exc:
+            raise OracleFailure(
+                f"transformation factor: {exc}", component="aut"
+            ) from exc
+    else:
+        q = DyadicMPT.identity(t.level)
+    r_prime = t.conj(q)
+    level = max(r_prime.level, *(tgt.center_f.level for tgt in targets))
+    return q, r_prime.refine(level)
+
+
+def _fiber(
     g_base: WindowPerm,
-    t_generic: DyadicMPT,
-    target: ProductNbhd,
+    r_fine: DyadicMPT,
+    center_f: StepFn,
+    marked: Sequence[int],
     fresh_start: int | None = None,
+) -> StepFn:
+    """Fiber ``k`` solving the step condition along each cycle of ``r_fine``,
+    so the conjugated constant fiber ``g_base`` agrees with ``center_f`` at
+    every marked point."""
+    level = r_fine.level
+    if not marked:
+        return StepFn.constant(E, level)
+    center = center_f.refine(level)
+    try:
+        return _scatter(
+            level,
+            r_fine.cycles(include_fixed=True),
+            lambda cyc: _solve_column_window(
+                g_base, [center.values[i] for i in cyc], marked, fresh_start
+            ),
+        )
+    except InsufficientCycles as exc:
+        raise OracleFailure(f"fiber factor: {exc}", component="fiber") from exc
+
+
+def _conjugator(q: DyadicMPT, k: StepFn) -> TildeElement:
+    """The conjugator ``(C_e, Q) * (k, id)``."""
+    return TildeElement(StepFn.constant(E, q.level), q) * TildeElement(
+        k, DyadicMPT.identity(k.level)
+    )
+
+
+def _outcome(
+    source: TildeElement, target: ProductNbhd, conjugator: TildeElement
+) -> ConjugationOutcome:
+    """Conjugate ``source`` and check the result against ``target`` exactly."""
+    conjugated = source.conj(conjugator)
+    return ConjugationOutcome(
+        conjugator=conjugator,
+        conjugated=conjugated,
+        member=target.contains(conjugated),
+        fiber_residuals=tuple(target.fiber_residuals(conjugated.f)),
+        aut_residuals=tuple(target.aut_residuals(conjugated.t)),
+    )
+
+
+def conjugate_into_neighborhood(
+    g_base: WindowPerm, t_generic: DyadicMPT, target: ProductNbhd
 ) -> ConjugationOutcome:
     """Move ``(C_g, T)`` into a product-form neighborhood by conjugation.
 
@@ -519,55 +583,10 @@ def conjugate_into_neighborhood(
     conjugated fiber agrees with the target's fiber center at every marked
     point.  Membership is checked exactly on the result.
     """
-    source = TildeElement(
-        StepFn.constant(g_base, 0), t_generic
-    )
-    # transformation factor
-    if target.set_conditions:
-        eps_aut = min(b for _, b in target.set_conditions) / 2
-        try:
-            match = mpt_conjugate_match(t_generic, target.center_t, eps_aut)
-        except RandlabError as exc:
-            raise OracleFailure(
-                f"transformation factor: {exc}", component="aut"
-            ) from exc
-        q = match.r
-    else:
-        q = DyadicMPT.identity(t_generic.level)
-    r_prime = t_generic.conj(q)
-    # fiber factor
-    level = max(r_prime.level, target.center_f.level)
-    r_fine = r_prime.refine(level)
-    center_f = target.center_f.refine(level)
-    marked = [p for p, _ in target.value_conditions]
-    if marked:
-        k_values: list = [None] * 2 ** level
-        for cyc in r_fine.cycles(include_fixed=True):
-            h_vals = [center_f.values[i] for i in cyc]
-            try:
-                gs = _solve_column_window(
-                    g_base, h_vals, marked, fresh_start=fresh_start
-                )
-            except InsufficientCycles as exc:
-                raise OracleFailure(
-                    f"fiber factor: {exc}", component="fiber"
-                ) from exc
-            for idx, g_val in zip(cyc, gs):
-                k_values[idx] = g_val
-        k_fn = StepFn(level, tuple(k_values))
-    else:
-        k_fn = StepFn.constant(E, level)
-    conjugator = TildeElement(StepFn.constant(E, q.level), q) * TildeElement(
-        k_fn, DyadicMPT.identity(level)
-    )
-    conjugated = source.conj(conjugator)
-    return ConjugationOutcome(
-        conjugator=conjugator,
-        conjugated=conjugated,
-        member=target.contains(conjugated),
-        fiber_residuals=tuple(target.fiber_residuals(conjugated.f)),
-        aut_residuals=tuple(target.aut_residuals(conjugated.t)),
-    )
+    q, r_fine = _transformation_factor(t_generic, [target])
+    k = _fiber(g_base, r_fine, target.center_f, _marked(target))
+    source = TildeElement(StepFn.constant(g_base, 0), t_generic)
+    return _outcome(source, target, _conjugator(q, k))
 
 
 @dataclass(frozen=True)
@@ -628,6 +647,13 @@ def _window_footprint(g: WindowPerm, center_f: StepFn, marked) -> set[int]:
     return pts
 
 
+def _constant_window_value(source: TildeElement, message: str) -> WindowPerm:
+    values = source.f.values
+    if len(set(values)) != 1 or not isinstance(values[0], WindowPerm):
+        raise SimultaneousMatchUnsupported(message)
+    return values[0]
+
+
 def diagonal_experiment(
     sources: Sequence[TildeElement],
     targets: Sequence[ProductNbhd],
@@ -638,59 +664,39 @@ def diagonal_experiment(
     sources; constant window-permutation fibers over a shared
     transformation with pairwise disjoint window footprints.  Anything else
     raises :class:`SimultaneousMatchUnsupported`, reporting honestly rather
-    than guessing.
+    than guessing.  A failed matching step raises :class:`OracleFailure`
+    naming its component, ``"aut"`` or ``"fiber"``.
     """
     if len(sources) != len(targets):
         raise ValueError("need one target per source")
     if not sources:
         raise ValueError("empty tuple")
 
-    def evaluate(conjugator: TildeElement) -> DiagonalReport:
-        per = []
-        ok = True
-        for src, tgt in zip(sources, targets):
-            moved = src.conj(conjugator)
-            member = tgt.contains(moved)
-            ok = ok and member
-            per.append(
-                (
-                    member,
-                    tuple(tgt.fiber_residuals(moved.f)),
-                    tuple(tgt.aut_residuals(moved.t)),
-                )
-            )
+    def evaluate(conjugator: TildeElement, note: str) -> DiagonalReport:
+        outs = [_outcome(src, tgt, conjugator) for src, tgt in zip(sources, targets)]
         return DiagonalReport(
-            success=ok, conjugator=conjugator, per_coordinate=tuple(per)
+            success=all(o.member for o in outs),
+            conjugator=conjugator,
+            per_coordinate=tuple(
+                (o.member, o.fiber_residuals, o.aut_residuals) for o in outs
+            ),
+            note=note,
         )
 
     level = max(max(s.f.level, s.t.level) for s in sources)
     v0 = sources[0].f.values[0]
     identity = tilde_identity(value_kind(v0).identity(v0), level)
-    trivial = evaluate(identity)
+    trivial = evaluate(identity, "targets already contain the sources")
     if trivial.success:
-        return DiagonalReport(
-            success=True,
-            conjugator=identity,
-            per_coordinate=trivial.per_coordinate,
-            note="targets already contain the sources",
-        )
+        return trivial
 
     if len(sources) == 1:
-        src, tgt = sources[0], targets[0]
-        fiber = src.f
-        if len(set(fiber.values)) != 1 or not isinstance(fiber.values[0], WindowPerm):
-            raise SimultaneousMatchUnsupported(
-                "single-coordinate case needs a constant window-permutation fiber"
-            )
-        outcome = conjugate_into_neighborhood(fiber.values[0], src.t, tgt)
-        return DiagonalReport(
-            success=outcome.member,
-            conjugator=outcome.conjugator,
-            per_coordinate=(
-                (outcome.member, outcome.fiber_residuals, outcome.aut_residuals),
-            ),
-            note="reduced to a single conjugation",
+        g = _constant_window_value(
+            sources[0], "single-coordinate case needs a constant window-permutation fiber"
         )
+        q, r_fine = _transformation_factor(sources[0].t, targets)
+        k = _fiber(g, r_fine, targets[0].center_f, _marked(targets[0]))
+        return evaluate(_conjugator(q, k), "reduced to a single conjugation")
 
     # simultaneous case: shared transformation, disjoint window footprints
     t_shared = sources[0].t
@@ -698,21 +704,16 @@ def diagonal_experiment(
         raise SimultaneousMatchUnsupported(
             "simultaneous matching implemented only for a shared transformation"
         )
-    t_centers = targets[0].center_t
-    if not all(t.center_t.same_map(t_centers) for t in targets):
+    if not all(t.center_t.same_map(targets[0].center_t) for t in targets):
         raise SimultaneousMatchUnsupported(
             "targets must share one transformation center"
         )
-    gs = []
-    for s in sources:
-        if len(set(s.f.values)) != 1 or not isinstance(s.f.values[0], WindowPerm):
-            raise SimultaneousMatchUnsupported(
-                "coordinates must be constant window-permutation fibers"
-            )
-        gs.append(s.f.values[0])
+    gs = [
+        _constant_window_value(s, "coordinates must be constant window-permutation fibers")
+        for s in sources
+    ]
     footprints = [
-        _window_footprint(g, t.center_f, [p for p, _ in t.value_conditions])
-        for g, t in zip(gs, targets)
+        _window_footprint(g, t.center_f, _marked(t)) for g, t in zip(gs, targets)
     ]
     for i in range(len(footprints)):
         for j in range(i + 1, len(footprints)):
@@ -720,42 +721,14 @@ def diagonal_experiment(
                 raise SimultaneousMatchUnsupported(
                     f"coordinate windows {i} and {j} overlap"
                 )
-    top = max((max(fp) + 1 for fp in footprints if fp), default=0)
-    # one transformation conjugator for all coordinates
-    bounds = [b for t in targets for _, b in t.set_conditions]
-    if bounds:
-        match = mpt_conjugate_match(t_shared, t_centers, min(bounds) / 2)
-        q = match.r
-    else:
-        q = DyadicMPT.identity(t_shared.level)
-    r_prime = t_shared.conj(q)
-    level = max(r_prime.level, *(t.center_f.level for t in targets))
-    r_fine = r_prime.refine(level)
-    combined: list[WindowPerm] = [E] * 2 ** level
-    reserve = top
+    # one transformation conjugator for all coordinates, then one fiber per
+    # coordinate, each drawing fresh points above everything used before it
+    q, r_fine = _transformation_factor(t_shared, targets)
+    combined: list[WindowPerm] = [E] * 2 ** r_fine.level
+    reserve = max((max(fp) + 1 for fp in footprints if fp), default=0)
     for g, tgt in zip(gs, targets):
-        marked = [p for p, _ in tgt.value_conditions]
-        if not marked:
-            continue
-        center_f = tgt.center_f.refine(level)
-        k_values: list = [E] * 2 ** level
-        for cyc in r_fine.cycles(include_fixed=True):
-            h_vals = [center_f.values[i] for i in cyc]
-            gs_col = _solve_column_window(g, h_vals, marked, fresh_start=reserve)
-            for idx, val in zip(cyc, gs_col):
-                k_values[idx] = val
-        # next coordinate's fresh points must clear everything used here
-        used = [max(v.support(), default=-1) for v in k_values]
-        reserve = max([reserve] + [u + 1 for u in used])
-        combined = [a * b for a, b in zip(k_values, combined)]
-    k_fn = StepFn(level, tuple(combined))
-    conjugator = TildeElement(StepFn.constant(E, q.level), q) * TildeElement(
-        k_fn, DyadicMPT.identity(level)
-    )
-    report = evaluate(conjugator)
-    return DiagonalReport(
-        success=report.success,
-        conjugator=conjugator,
-        per_coordinate=report.per_coordinate,
-        note="disjoint-window simultaneous matching",
-    )
+        k = _fiber(g, r_fine, tgt.center_f, _marked(tgt), fresh_start=reserve)
+        reserve = max([reserve] + [max(v.support(), default=-1) + 1 for v in k.values])
+        combined = [a * b for a, b in zip(k.values, combined)]
+    k_fn = StepFn(r_fine.level, tuple(combined))
+    return evaluate(_conjugator(q, k_fn), "disjoint-window simultaneous matching")

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dyadic import DyadicMPT, DyadicSet, format_mpt, format_set, parse_mpt, parse_set
+from .dyadic import (
+    DyadicMPT,
+    DyadicSet,
+    format_fraction,
+    format_mpt,
+    format_set,
+    parse_mpt,
+    parse_set,
+)
 from .errors import DegenerateSpace, MismatchedSpace, NotDiscrete, ParseError
 from .groups import E
 from .stepfn import (
@@ -105,32 +113,26 @@ def _point_metric(fiber: StepFn) -> Callable:
 # Pointwise metric
 # ---------------------------------------------------------------------------
 
-def enumerate_test_functions(marked: Sequence, max_level: int = 3):
-    """Canonical test family: all step functions of level 0..max_level
-    with values among the marked points, level first then lexicographic."""
-    for level in range(max_level + 1):
+def enumerate_test_functions(marked: Sequence):
+    """Canonical test family: all step functions of level 0..3 with values
+    among the marked points, level first then lexicographic."""
+    for level in range(4):
         for combo in itertools.product(marked, repeat=2 ** level):
             yield StepFn(level, combo)
 
 
-def pointwise_metric(
-    a: TildeElement,
-    b: TildeElement,
-    budget: int = 64,
-    marked: Sequence | None = None,
-) -> Fraction:
-    """Weighted sum of action displacements over the canonical test family.
+def pointwise_metric(a: TildeElement, b: TildeElement, budget: int = 64) -> Fraction:
+    """Weighted sum of action displacements over the canonical test family
+    on the first four marked points of the space.
 
     Truncated at ``budget`` test functions; the discarded tail is bounded
     by ``2**-budget`` since every displacement is at most one.
     """
     v = a.f.values[0]
     kind = value_kind(v)
-    if marked is None:
-        marked = kind.marked_points(v, 4)
     metric = kind.point_metric(v)
     total = ZERO
-    for m, alpha in enumerate(enumerate_test_functions(marked)):
+    for m, alpha in enumerate(enumerate_test_functions(kind.marked_points(v, 4))):
         if m >= budget:
             break
         d = dhat(tilde_act(a, alpha), tilde_act(b, alpha), metric)
@@ -421,29 +423,19 @@ class LuBounds:
     anchor_distance: Fraction    # r
 
 
-def lu_bounds(
-    a: TildeElement,
-    b: TildeElement,
-    anchor: tuple | None = None,
-) -> LuBounds:
+def lu_bounds(a: TildeElement, b: TildeElement) -> LuBounds:
     """Two-sided bounds for the uniform distance via the moving set.
 
     With ``(h, R) = b**-1 a``, ``B = {R != id}`` and ``A = {h != e, R
     fixes}``, the distance lies between ``(r/8) mu(B) + int_A d_u(h, e)``
-    and ``mu(B) + int_A d_u(h, e)`` where ``r`` is the distance of the
-    anchor pair (default: a maximal-distance pair of the space).
+    and ``mu(B) + int_A d_u(h, e)`` where ``r`` is the distance of a
+    maximal-distance anchor pair of the space.
     """
     kind = value_kind(a.f.values[0])
     c = _reduce_pair(a, b)
     du = kind.du
     v0 = c.f.values[0]
-    if anchor is None:
-        x1, x2, r = kind.anchor(v0)
-    else:
-        x1, x2 = anchor
-        r = kind.point_metric(v0)(x1, x2)
-        if r <= 0:
-            raise DegenerateSpace("anchor pair at distance zero")
+    r = kind.anchor(v0)[2]
     level = max(c.f.level, c.t.level)
     f, t = c.f.refine(level), c.t.refine(level)
     ident = kind.identity(v0)
@@ -632,10 +624,6 @@ def parse_tilde(text: str) -> TildeElement:
     return TildeElement(parse_step(parts[0].strip()), parse_mpt(parts[1].strip()))
 
 
-def _frac_text(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def format_nbhd(nbhd: PointwiseNbhd | ProductNbhd) -> str:
     """Neighborhood block: one test or condition per line with its radius."""
     lines = []
@@ -643,14 +631,14 @@ def format_nbhd(nbhd: PointwiseNbhd | ProductNbhd) -> str:
         lines.append("nbhd pointwise {")
         lines.append(f"  center {format_tilde(nbhd.center)}")
         for alpha, radius in nbhd.tests:
-            lines.append(f"  test {format_step(alpha)} ; radius {_frac_text(radius)}")
+            lines.append(f"  test {format_step(alpha)} ; radius {format_fraction(radius)}")
     else:
         lines.append("nbhd product {")
         lines.append(f"  center {format_tilde(TildeElement(nbhd.center_f, nbhd.center_t))}")
         for point, bound in nbhd.value_conditions:
-            lines.append(f"  value {format_value(point)} ; radius {_frac_text(bound)}")
+            lines.append(f"  value {format_value(point)} ; radius {format_fraction(bound)}")
         for s, bound in nbhd.set_conditions:
-            lines.append(f"  set {format_set(s)} ; radius {_frac_text(bound)}")
+            lines.append(f"  set {format_set(s)} ; radius {format_fraction(bound)}")
     lines.append("}")
     return "\n".join(lines)
 

@@ -11,6 +11,7 @@ import pytest
 from randlab.cli import config_digest, main, parse_config, run_command
 from randlab.dyadic import MAX_LEVEL
 from randlab.errors import ConfigError
+from randlab.groups import MAX_WINDOW
 from randlab.suites import (
     DENSITY_EPS,
     constant_fiber_case,
@@ -295,3 +296,22 @@ def test_pinned_report_digests(command, cfg, digest):
     assert rows[0][-1] == "runtime_s"
     body = "\n".join(",".join(r[:-1]) for r in rows)
     assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["metrics", "synthesize"])
+def test_window_past_the_bound_exits_2(tmp_path, capsys, command):
+    # 2**40 images per interval could never be allocated, so the bound
+    # must stop it before any sampling starts
+    cfg = write(tmp_path, "bad.cfg", f"seed = 1\nlevel = 3\nwindow = {2 ** 40}\n")
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(MAX_WINDOW) in err
+
+
+@pytest.mark.parametrize("command", ["metrics", "synthesize"])
+def test_window_at_the_bound_is_accepted(command):
+    cfg = {"seed": "1", "level": "0", "window": str(MAX_WINDOW), "count": "1"}
+    if command == "synthesize":
+        cfg.update(level="3", height="2", k="1")
+    status, _ = run_command(command, cfg)
+    assert status == 0

@@ -246,3 +246,11 @@ def test_power_invariance_window_perm():
     rep = power_invariance_check(from_cycles([range(6)]), 2)
     assert rep.ok()
     assert rep.details["census"][3] == 2
+
+
+def test_from_cycles_reads_a_generator_once():
+    # the disjointness check must not consume the cycles it then closes
+    assert from_cycles(c for c in [[0, 1, 2]]) == from_cycles([[0, 1, 2]])
+    assert from_cycles(iter([[3, 5], [0, 1]])) == parse_cycles("(0 1)(3 5)")
+    with pytest.raises(ValueError):
+        from_cycles(c for c in [[0, 1], [1, 2]])

@@ -476,3 +476,60 @@ def test_metric_task_default_height_needs_positive_eps(eps):
     task = MetricSynthesisTask(sigma=sigma, s=DyadicMPT.shift(4), h=h, eps_g=F(1, 8), eps=eps)
     with pytest.raises(ValueError, match="eps must be positive"):
         synthesize_conjugator_metric(task)
+
+
+# -- failures name the step that failed ----------------------------------------
+
+def _two_coordinates(rng, t_shared, t_center, base, set_bound):
+    pairs = []
+    for offset in (0, 100):
+        g = shifted(base, offset)
+        conjs = [shifted(rand_window_perm(rng, 6), offset) for _ in range(4)]
+        target = ProductNbhd(
+            center_f=StepFn(2, tuple(g.conj(c) for c in conjs)),
+            center_t=t_center,
+            value_conditions=((offset, F(1, 16)),),
+            set_conditions=((DyadicSet(1, frozenset({0})), set_bound),),
+        )
+        pairs.append((TildeElement(StepFn.constant(g, 0), t_shared), target))
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def test_diagonal_fiber_shortfall_is_oracle_failure():
+    # an 8-cycle's 16th power is the identity: no spare cycles for the fiber
+    rng = random.Random(3)
+    t = rand_cycle_type(rng, 6, [16] * 4)
+    sources, targets = _two_coordinates(
+        rng, t, rand_cycle_type(rng, 6, [16] * 4), cycle_pack({8: 1}), F(1, 8)
+    )
+    with pytest.raises(OracleFailure) as info:
+        diagonal_experiment(sources, targets)
+    assert info.value.component == "fiber"
+
+
+def test_diagonal_unmatched_transformation_is_oracle_failure():
+    # a full cycle is far from every map made of 2-cycles
+    rng = random.Random(5)
+    t = rand_full_cycle(rng, 6)
+    base = cycle_pack({16 * j: 1 for j in range(1, 4)})
+    sources, targets = _two_coordinates(
+        rng, t, rand_cycle_type(rng, 6, [2] * 32), base, F(1, 1024)
+    )
+    with pytest.raises(OracleFailure) as info:
+        diagonal_experiment(sources, targets)
+    assert info.value.component == "aut"
+
+
+def test_metric_synthesis_needs_an_interval_map_sigma():
+    rng = random.Random(67)
+    task = MetricSynthesisTask(
+        sigma=cycle_pack({8: 1}),
+        s=DyadicMPT.shift(6),
+        h=StepFn(2, tuple(rand_mpt(rng, 6) for _ in range(4))),
+        eps_g=F(1, 8),
+        eps=F(1, 2),
+        height=4,
+    )
+    with pytest.raises(OracleFailure) as info:
+        synthesize_conjugator_metric(task)
+    assert info.value.component == "base-group"
