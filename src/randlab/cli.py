@@ -348,7 +348,8 @@ def emit(rows, command, digest, fmt_name, stream, runtime):
         # columns in order of first appearance, the runtime column last
         keys = list(dict.fromkeys(k for row in decorated for k in row))
         keys.sort(key=lambda k: k == "runtime_s")
-        writer = csv.DictWriter(stream, fieldnames=keys, restval="")
+        # every key is a column, so the per-row extra-key scan can never fire
+        writer = csv.DictWriter(stream, fieldnames=keys, restval="", extrasaction="ignore")
         writer.writeheader()
         writer.writerows(decorated)
 

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 from . import perm
 from .errors import (
+    CertificateError,
     LeftoverIndivisible,
     NotAperiodic,
     ParseError,
@@ -71,6 +72,8 @@ class DyadicSet:
         return Fraction(len(self.members), 2 ** self.level)
 
     def refine(self, level: int) -> "DyadicSet":
+        if level == self.level:
+            return self
         if level < self.level:
             raise ValueError("refinement level must not decrease")
         k = 2 ** (level - self.level)
@@ -137,7 +140,9 @@ class DyadicMPT:
     # -- structure --------------------------------------------------------
 
     def refine(self, level: int) -> "DyadicMPT":
-        """Same point map at a finer level."""
+        """Same point map at a finer level; ``self`` at its own level."""
+        if level == self.level:
+            return self
         if level < self.level:
             raise ValueError("refinement level must not decrease")
         k = 2 ** (level - self.level)
@@ -309,26 +314,34 @@ class TowerData:
         """Enumeration checks of every tower postcondition; raises on failure."""
         n = 2 ** self.level
         tt = t.refine(self.level)
-        assert len(self.levels) == self.height
+        if len(self.levels) != self.height:
+            raise CertificateError("tower has the wrong number of levels")
         # levels are successive images of the base
         current = self.base
         for lv in self.levels:
-            assert lv.members == current.members, "levels must be T^k(base)"
+            if lv.members != current.members:
+                raise CertificateError("levels must be T^k(base)")
             current = tt.image(current)
         # pairwise disjoint, and together with leftover partition [0,1)
         union: set[int] = set()
         for lv in self.levels:
-            assert not (union & lv.members), "tower levels overlap"
+            if union & lv.members:
+                raise CertificateError("tower levels overlap")
             union |= lv.members
-        assert not (union & self.leftover.members), "leftover meets the tower"
-        assert len(union) + len(self.leftover.members) == n, "coverage gap"
-        assert self.leftover.measure <= self.requested_bound
+        if union & self.leftover.members:
+            raise CertificateError("leftover meets the tower")
+        if len(union) + len(self.leftover.members) != n:
+            raise CertificateError("coverage gap")
+        if self.leftover.measure > self.requested_bound:
+            raise CertificateError("leftover exceeds the requested bound")
         # periodic map invariants
         s0 = self.periodic_map
         if self.periodic_exact:
-            assert all(len(c) == self.height for c in s0.cycles(include_fixed=True))
+            if any(len(c) != self.height for c in s0.cycles(include_fixed=True)):
+                raise CertificateError("periodic map has a cycle of the wrong length")
         bound = self.requested_bound + Fraction(1, self.height)
-        assert delta_u(t, s0) <= bound, "periodic approximation too far"
+        if delta_u(t, s0) > bound:
+            raise CertificateError("periodic approximation too far")
 
 
 def rokhlin_tower(t: DyadicMPT, height: int, bound: Fraction) -> TowerData:
@@ -419,7 +432,8 @@ def periodic_approximation(
     level = max(t.level, height.bit_length() - 1)
     tt = t.refine(level)
     tower = rokhlin_tower(tt, height, bound)
-    assert tower.periodic_exact  # count is 2**level mod height == 0
+    if not tower.periodic_exact:  # count is 2**level mod height == 0
+        raise CertificateError("leftover not regrouped into exact cycles")
     s0 = tower.periodic_map
     # extend the base to one interval per s0-cycle: original bases plus the
     # first interval of each regrouped leftover block
@@ -442,7 +456,8 @@ def periodic_approximation(
     )
     exact_tower.validate(s0)
     dist = delta_u(tt, s0)
-    assert dist <= Fraction(bound) + Fraction(1, height)
+    if dist > Fraction(bound) + Fraction(1, height):
+        raise CertificateError("periodic approximation too far")
     return PeriodicApproximation(
         s0=s0, height=height, tower=tower, exact_tower=exact_tower, distance=dist
     )
@@ -464,7 +479,8 @@ class ConjugacyMatch:
 def _exact_conjugator(t0: DyadicMPT, s0: DyadicMPT) -> DyadicMPT:
     """Permutation r with ``r**-1 * t0 * r == s0`` for equal cycle types."""
     r = perm.conjugator(t0.perm, s0.perm)
-    assert r is not None
+    if r is None:
+        raise CertificateError("cycle types differ")
     return DyadicMPT(t0.level, r)
 
 
@@ -487,7 +503,8 @@ def mpt_conjugate_match(
     if t.cycle_census() == s.cycle_census():
         r = _exact_conjugator(t, s)
         achieved = delta_u(t.conj(r), s)
-        assert achieved == 0
+        if achieved != 0:
+            raise CertificateError("exact conjugator misses")
         return ConjugacyMatch(r=r, achieved=achieved, height=0)
     max_n = min(t.min_cycle_length(), s.min_cycle_length(), 2 ** m)
     heights: list[int]

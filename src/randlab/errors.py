@@ -79,6 +79,10 @@ class SimultaneousMatchUnsupported(RandlabError):
     """Diagonal matching was requested outside the implemented cases."""
 
 
+class CertificateError(RandlabError):
+    """A postcondition checked by direct evaluation does not hold."""
+
+
 class ConfigError(RandlabError):
     """Bad experiment configuration (carries the offending line)."""
 

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import perm
 from .dyadic import DyadicMPT, format_fraction
-from .errors import InsufficientCycles, NotInjective, ParseError
+from .errors import CertificateError, InsufficientCycles, NotInjective, ParseError
 
 # ---------------------------------------------------------------------------
 # Window permutations
@@ -231,7 +231,8 @@ def generic_surrogate(max_length: int, copies: int) -> GenericSurrogate:
     realized = cycle_pack({k: copies for k in range(1, max_length + 1)})
     surrogate = GenericSurrogate(max_length, copies, realized)
     census = realized.cycle_census(window=surrogate.window())
-    assert all(census[k] >= copies for k in range(1, max_length + 1))
+    if any(census[k] < copies for k in range(1, max_length + 1)):
+        raise CertificateError("surrogate lacks cycles of some length")
     return surrogate
 
 
@@ -378,8 +379,8 @@ def match_partial(
     )
     rho = WindowPerm(perm.complete(assignments, width))
     conj = rho.inverse() * power * rho
-    for k, v in target.items():
-        assert conj(k) == v, "window match postcondition failed"
+    if any(conj(k) != v for k, v in target.items()):
+        raise CertificateError("window match postcondition failed")
     return rho
 
 

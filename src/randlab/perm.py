@@ -11,6 +11,7 @@ keeps its own normal form.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 
@@ -23,7 +24,9 @@ def compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     n = len(a)
     if len(b) > n:
         return tuple(a[j] if j < n else j for j in b)
-    return tuple(a[j] for j in b) + tuple(a[len(b):])
+    if len(b) < 2:  # itemgetter returns a bare item for one index
+        return tuple(a[j] for j in b) + tuple(a[len(b):])
+    return itemgetter(*b)(a) + tuple(a[len(b):])
 
 
 def invert(p: Sequence[int]) -> tuple[int, ...]:

@@ -16,7 +16,14 @@ from typing import Callable, Sequence
 
 from . import perm
 from .dyadic import DyadicMPT, DyadicSet, format_fraction
-from .errors import MismatchedSpace, NotConverging, ParseError, RandlabError, Unmatchable
+from .errors import (
+    CertificateError,
+    MismatchedSpace,
+    NotConverging,
+    ParseError,
+    RandlabError,
+    Unmatchable,
+)
 from .groups import (
     E,
     WindowPerm,
@@ -49,8 +56,8 @@ class ValueKind:
     du: Metric                                     # uniform metric on the group
     point_metric: Callable[[object], Metric]       # metric of the acted-on space
     identity: Callable[[object], object]           # group identity
-    marked_points: Callable[[object, int], tuple]  # first ``count`` points
-    anchor: Callable[[object], tuple]              # (x1, x2, d(x1, x2) > 0)
+    marked_points: Callable[[object], tuple]       # first four points
+    diameter: Callable[[object], Fraction]         # largest d(x1, x2), > 0
     acts_on: Callable[[object, object], bool]      # may ``v`` act on point ``p``
 
 
@@ -60,8 +67,8 @@ VALUE_KINDS = {
         du=perm_du,
         point_metric=lambda v: nat_discrete,
         identity=lambda v: E,
-        marked_points=lambda v, count: tuple(range(count)),
-        anchor=lambda v: (0, 1, Fraction(1)),
+        marked_points=lambda v: tuple(range(4)),
+        diameter=lambda v: Fraction(1),
         acts_on=lambda v, p: isinstance(p, int),
     ),
     SpaceIsometry: ValueKind(
@@ -69,8 +76,8 @@ VALUE_KINDS = {
         du=isometry_du,
         point_metric=lambda v: v.space.d,
         identity=lambda v: space_identity(v.space),
-        marked_points=lambda v, count: v.space.points[:count],
-        anchor=lambda v: v.space.diameter_pair(),
+        marked_points=lambda v: v.space.points[:4],
+        diameter=lambda v: v.space.diameter_pair()[2],
         acts_on=lambda v, p: p in v.space.points,
     ),
 }
@@ -117,6 +124,8 @@ class StepFn:
         return StepFn(lev, tuple(left if i < cut else right for i in range(2 ** lev)))
 
     def refine(self, level: int) -> "StepFn":
+        if level == self.level:
+            return self
         if level < self.level:
             raise ValueError("refinement level must not decrease")
         k = 2 ** (level - self.level)
@@ -297,7 +306,8 @@ def exact_perm_conjugator(g: WindowPerm, v: WindowPerm) -> WindowPerm | None:
     if r is None:
         return None
     rho = WindowPerm(r)
-    assert g.conj(rho) == v
+    if g.conj(rho) != v:
+        raise CertificateError("exact conjugator misses")
     return rho
 
 
@@ -358,7 +368,8 @@ def constant_generic_conjugator(
     h = StepFn(f.level, tuple(conjugators))
     conjugated = h.map(lambda rho: g.conj(rho))
     achieved = dhat(f, conjugated, metric_u)
-    assert achieved <= eps
+    if achieved > eps:
+        raise CertificateError(f"achieved distance {achieved} exceeds {eps}")
     return h, achieved
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, Mapping, Sequence
 
 from . import perm
@@ -46,6 +46,7 @@ from .dyadic import (
     periodic_approximation,
 )
 from .errors import (
+    CertificateError,
     InsufficientCycles,
     NotExactTower,
     OracleFailure,
@@ -131,7 +132,8 @@ def _scatter(level: int, cycles: Sequence[Sequence[int]], solve: Callable) -> St
     for cyc in cycles:
         for idx, value in zip(cyc, solve(cyc)):
             values[idx] = value
-    assert all(v is not None for v in values)
+    if any(v is None for v in values):
+        raise CertificateError("cycles do not cover every interval")
     return StepFn(level, tuple(values))
 
 
@@ -389,7 +391,8 @@ def mpt_power_oracle(sigma: DyadicMPT):
                 component="base-group",
             )
         rho = _exact_conjugator(power_l, q)
-        assert power_l.conj(rho).perm == q.perm
+        if power_l.conj(rho).perm != q.perm:
+            raise CertificateError("power oracle conjugator misses")
         return rho
 
     return oracle
@@ -422,9 +425,11 @@ def nearest_of_cycle_type(
     for length in missing:
         chunks.append(merged[pos:pos + length])
         pos += length
-    assert pos == len(merged)
+    if pos != len(merged):
+        raise CertificateError("missing lengths do not cover the stray cycles")
     q = DyadicMPT(t.level, perm.close_cycles(t.perm, chunks))
-    assert Counter(q.cycle_census()) == Counter(census)
+    if Counter(q.cycle_census()) != Counter(census):
+        raise CertificateError("resplit map has the wrong cycle type")
     return q, delta_u(t, q)
 
 
@@ -447,6 +452,8 @@ def synthesize_conjugator_metric(task: MetricSynthesisTask) -> MetricSynthesisRe
     oracle = mpt_power_oracle(sigma)
     height, s0, tower, h = _tower_setup(task)
     level = h.level
+    # h is refined from a coarse level, so it repeats a few distinct values
+    inverse = cache(DyadicMPT.inverse)
 
     def solve(column: list[int]) -> list:
         h_vals = [h.values[i] for i in column]
@@ -457,12 +464,15 @@ def synthesize_conjugator_metric(task: MetricSynthesisTask) -> MetricSynthesisRe
         )
         gs = [oracle(height, reverse_target, eps_g)]
         for i in range(1, height):
-            gs.append(sigma * gs[-1] * h_vals[i].inverse())
+            gs.append(sigma * gs[-1] * inverse(h_vals[i]))
         return gs
 
     columns = [column_intervals(s0, base, height) for base in sorted(tower.base.members)]
     g = _scatter(level, columns, solve)
 
+    # the certificates and the agreement ask for the same pair wherever
+    # S**-1 y == S0**-1 y
+    @cache
     def deviation(y: int, prev: int) -> Fraction:
         return delta_u(g.values[y].inverse() * sigma * g.values[prev], h.values[y])
 

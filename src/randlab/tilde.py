@@ -27,7 +27,13 @@ from .dyadic import (
     parse_mpt,
     parse_set,
 )
-from .errors import DegenerateSpace, MismatchedSpace, NotDiscrete, ParseError
+from .errors import (
+    CertificateError,
+    DegenerateSpace,
+    MismatchedSpace,
+    NotDiscrete,
+    ParseError,
+)
 from .groups import E
 from .stepfn import (
     StepFn,
@@ -132,7 +138,7 @@ def pointwise_metric(a: TildeElement, b: TildeElement, budget: int = 64) -> Frac
     kind = value_kind(v)
     metric = kind.point_metric(v)
     total = ZERO
-    for m, alpha in enumerate(enumerate_test_functions(kind.marked_points(v, 4))):
+    for m, alpha in enumerate(enumerate_test_functions(kind.marked_points(v))):
         if m >= budget:
             break
         d = dhat(tilde_act(a, alpha), tilde_act(b, alpha), metric)
@@ -435,7 +441,7 @@ def lu_bounds(a: TildeElement, b: TildeElement) -> LuBounds:
     c = _reduce_pair(a, b)
     du = kind.du
     v0 = c.f.values[0]
-    r = kind.anchor(v0)[2]
+    r = kind.diameter(v0)
     level = max(c.f.level, c.t.level)
     f, t = c.f.refine(level), c.t.refine(level)
     ident = kind.identity(v0)
@@ -453,7 +459,8 @@ def lu_bounds(a: TildeElement, b: TildeElement) -> LuBounds:
     lower = (r / 8) * moving + fixed_integral
     upper = moving + fixed_integral
     alt_lower = (r / 8) * max(moving, dhat_u_fiber)
-    assert alt_lower <= lower <= upper
+    if not alt_lower <= lower <= upper:
+        raise CertificateError("sandwich bounds out of order")
     return LuBounds(
         lower=lower,
         upper=upper,
@@ -601,7 +608,8 @@ def lu_estimate(
         upper=bounds.upper,
         witnesses_tried=len(witnesses),
     )
-    assert est.consistent()
+    if not est.consistent():
+        raise CertificateError("witness estimate outside the sandwich bounds")
     return est
 
 

@@ -23,6 +23,7 @@ from randlab.dyadic import (
 )
 from randlab.errors import LeftoverIndivisible, NotAperiodic, ParseError, TowerTooCoarse
 from randlab.corpus import rand_aperiodic_mpt, rand_full_cycle, rand_mpt
+from randlab.stepfn import StepFn
 
 
 def test_compose_inverse_is_identity():
@@ -33,6 +34,17 @@ def test_compose_inverse_is_identity():
 
 def test_refine_identity():
     assert DyadicMPT.identity(1).refine(3).same_map(DyadicMPT.identity(3))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [DyadicMPT.shift(3), DyadicSet(3, frozenset({1, 5})), StepFn(3, tuple(range(8)))],
+    ids=["mpt", "set", "step"],
+)
+def test_refine_to_own_level_returns_self(x):
+    assert x.refine(x.level) is x
+    with pytest.raises(ValueError):
+        x.refine(x.level - 1)
 
 
 def test_shift_composition():

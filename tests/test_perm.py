@@ -3,7 +3,7 @@ the three groups built on it."""
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randlab import perm
@@ -52,6 +52,26 @@ def cycle_type(p):
 def test_compose_matches_dict_composition(a, b):
     w = max(len(a), len(b))
     assert as_dict(perm.compose(a, b)) == dict_mul(as_dict(a), as_dict(b), range(w))
+
+
+def naive_compose(a, b):
+    out = tuple(a[j] if j < len(a) else j for j in b)
+    return out + tuple(a[len(b):]) if len(a) > len(b) else out
+
+
+@small
+@given(perms, perms)
+@example((), ())
+@example((0,), ())
+@example((), (0,))
+@example((0,), (0,))
+@example((1, 0), (0,))
+@example((0,), (1, 0))
+@example((1, 0), (1, 0))
+@example((2, 0, 1), (1, 0))
+@example((1, 0), (2, 0, 1))
+def test_compose_matches_naive_oracle(a, b):
+    assert perm.compose(a, b) == naive_compose(a, b)
 
 
 @small

@@ -38,6 +38,7 @@ from randlab.synthesis import (
     diagonal_experiment,
     mpt_power_oracle,
     nearest_of_cycle_type,
+    column_intervals,
     sigma_budget,
     synthesize_conjugator,
     synthesize_conjugator_metric,
@@ -234,6 +235,35 @@ def test_metric_synthesis_tolerance_one_accepts_all():
     task = MetricSynthesisTask(sigma=sigma, s=s, h=h, eps_g=F(1), eps=F(1, 2), height=4)
     res = synthesize_conjugator_metric(task)
     assert res.all_ok()
+
+
+def test_metric_synthesis_certificates_recomputed_from_scratch():
+    # the first three tasks of criterion 07; every deviation and the
+    # agreement are recomputed here, once per use, with no cache
+    rng = random.Random(7)
+    eps_g = F(1, 8)
+    for _ in range(3):
+        sigma = rand_full_cycle(rng, 8)
+        s = rand_aperiodic_mpt(rng, 9, 8)
+        h = StepFn(3, tuple(rand_mpt(rng, 8) for _ in range(8)))
+        task = MetricSynthesisTask(sigma=sigma, s=s, h=h, eps_g=eps_g, eps=F(1, 4), height=8)
+        res = synthesize_conjugator_metric(task)
+        level = res.g.level
+        g, hv = res.g.values, h.refine(level).values
+
+        def deviation(y, prev):
+            return delta_u(g[y].inverse() * sigma * g[prev], hv[y])
+
+        s0_inv = res.s0.inverse().perm
+        expected = [
+            ("deviation", base, pos, deviation(y, s0_inv[y]), deviation(y, s0_inv[y]) <= eps_g)
+            for base in sorted(res.tower.base.members)
+            for pos, y in enumerate(column_intervals(res.s0, base, res.height))
+        ]
+        assert list(res.certificates) == expected
+        s_inv = s.refine(level).inverse().perm
+        agree = sum(1 for y in range(2 ** level) if deviation(y, s_inv[y]) <= eps_g)
+        assert res.agreement == F(agree, 2 ** level)
 
 
 # -- density constructions ----------------------------------------------------
