@@ -334,24 +334,34 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 def emit(rows, command, digest, fmt_name, stream, runtime):
-    decorated = []
-    for row in rows:
-        full = {"experiment_id": f"{command}-{row.get('id', 0)}", "digest": digest}
-        full.update({k: v for k, v in row.items() if k != "id"})
-        full["pass"] = "true" if row.get("pass", False) else "false"
-        full["runtime_s"] = f"{runtime:.3f}"
-        decorated.append(full)
+    runtime_s = f"{runtime:.3f}"
     if fmt_name == "jsonl":
-        for row in decorated:
-            stream.write(json.dumps(row, sort_keys=False) + "\n")
-    else:
-        # columns in order of first appearance, the runtime column last
-        keys = list(dict.fromkeys(k for row in decorated for k in row))
-        keys.sort(key=lambda k: k == "runtime_s")
-        # every key is a column, so the per-row extra-key scan can never fire
-        writer = csv.DictWriter(stream, fieldnames=keys, restval="", extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(decorated)
+        for row in rows:
+            full = {"experiment_id": f"{command}-{row.get('id', 0)}", "digest": digest}
+            full.update({k: v for k, v in row.items() if k != "id"})
+            full["pass"] = "true" if row.get("pass", False) else "false"
+            full["runtime_s"] = runtime_s
+            stream.write(json.dumps(full, sort_keys=False) + "\n")
+        return
+    # columns in order of first appearance ("pass" at the latest after the
+    # first row's own keys), the runtime column last
+    cols = dict.fromkeys(["experiment_id", "digest"] if rows else [])
+    for row in rows:
+        cols.update(row)  # only the keys are read
+        cols["pass"] = None
+    cols.pop("id", None)
+    cols.pop("runtime_s", None)
+    header = [*cols, "runtime_s"] if rows else []
+    writer = csv.writer(stream)
+    writer.writerow(header)
+    verdict = header.index("pass") if rows else 0
+    for row in rows:
+        line = [row.get(k, "") for k in header]
+        line[0] = f"{command}-{row.get('id', 0)}"
+        line[1] = digest
+        line[verdict] = "true" if row.get("pass", False) else "false"
+        line[-1] = runtime_s
+        writer.writerow(line)
 
 
 def run_command(command: str, cfg: dict[str, str], seed=None, fmt_name="csv", out=None):

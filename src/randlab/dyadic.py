@@ -59,6 +59,14 @@ class DyadicSet:
         if any(not 0 <= i < n for i in self.members):
             raise ValueError("interval index out of range")
 
+    @classmethod
+    def _of(cls, level: int, members: frozenset[int]) -> "DyadicSet":
+        """A set built by an operation on valid sets; stored unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "level", level)
+        object.__setattr__(out, "members", members)
+        return out
+
     @staticmethod
     def empty(level: int = 0) -> "DyadicSet":
         return DyadicSet(level, frozenset())
@@ -77,7 +85,7 @@ class DyadicSet:
         if level < self.level:
             raise ValueError("refinement level must not decrease")
         k = 2 ** (level - self.level)
-        return DyadicSet(
+        return DyadicSet._of(
             level, frozenset(k * i + j for i in self.members for j in range(k))
         )
 
@@ -87,18 +95,18 @@ class DyadicSet:
 
     def union(self, other: "DyadicSet") -> "DyadicSet":
         m = max(self.level, other.level)
-        return DyadicSet(m, self.refine(m).members | other.refine(m).members)
+        return DyadicSet._of(m, self.refine(m).members | other.refine(m).members)
 
     def intersection(self, other: "DyadicSet") -> "DyadicSet":
         m = max(self.level, other.level)
-        return DyadicSet(m, self.refine(m).members & other.refine(m).members)
+        return DyadicSet._of(m, self.refine(m).members & other.refine(m).members)
 
     def symmetric_difference(self, other: "DyadicSet") -> "DyadicSet":
         m = max(self.level, other.level)
-        return DyadicSet(m, self.refine(m).members ^ other.refine(m).members)
+        return DyadicSet._of(m, self.refine(m).members ^ other.refine(m).members)
 
     def complement(self) -> "DyadicSet":
-        return DyadicSet(
+        return DyadicSet._of(
             self.level, frozenset(range(2 ** self.level)) - self.members
         )
 
@@ -120,6 +128,14 @@ class DyadicMPT:
         object.__setattr__(self, "perm", images)
         if len(images) != n or sorted(images) != list(range(n)):
             raise ValueError(f"perm is not a bijection of 0..{n - 1}")
+
+    @classmethod
+    def _of(cls, level: int, images: tuple[int, ...]) -> "DyadicMPT":
+        """A map built by a group operation on valid maps; stored unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "level", level)
+        object.__setattr__(out, "perm", images)
+        return out
 
     # -- construction -----------------------------------------------------
 
@@ -146,7 +162,7 @@ class DyadicMPT:
         if level < self.level:
             raise ValueError("refinement level must not decrease")
         k = 2 ** (level - self.level)
-        return DyadicMPT(
+        return DyadicMPT._of(
             level,
             tuple(self.perm[i] * k + j for i in range(2 ** self.level) for j in range(k)),
         )
@@ -160,13 +176,13 @@ class DyadicMPT:
     def __mul__(self, other: "DyadicMPT") -> "DyadicMPT":
         """Composition of point maps: ``(self * other)(x) = self(other(x))``."""
         m = max(self.level, other.level)
-        return DyadicMPT(m, perm.compose(self.refine(m).perm, other.refine(m).perm))
+        return DyadicMPT._of(m, perm.compose(self.refine(m).perm, other.refine(m).perm))
 
     def inverse(self) -> "DyadicMPT":
-        return DyadicMPT(self.level, perm.invert(self.perm))
+        return DyadicMPT._of(self.level, perm.invert(self.perm))
 
     def __pow__(self, n: int) -> "DyadicMPT":
-        return DyadicMPT(self.level, perm.power(self.perm, n))
+        return DyadicMPT._of(self.level, perm.power(self.perm, n))
 
     def conj(self, by: "DyadicMPT") -> "DyadicMPT":
         """``by**-1 * self * by``."""
@@ -184,7 +200,7 @@ class DyadicMPT:
     def image(self, s: DyadicSet) -> DyadicSet:
         m = max(self.level, s.level)
         t = self.refine(m)
-        return DyadicSet(m, frozenset(t.perm[i] for i in s.refine(m).members))
+        return DyadicSet._of(m, frozenset(t.perm[i] for i in s.refine(m).members))
 
     def cycles(self, include_fixed: bool = False) -> list[list[int]]:
         """Cycle decomposition; each cycle starts at its least index."""

@@ -31,6 +31,14 @@ from .errors import CertificateError, InsufficientCycles, NotInjective, ParseErr
 MAX_WINDOW = 4096
 
 
+def _strip(m: tuple[int, ...]) -> tuple[int, ...]:
+    """``m`` without its trailing fixed points."""
+    n = len(m)
+    while n and m[n - 1] == n - 1:
+        n -= 1
+    return m[:n]
+
+
 class WindowPerm:
     """Permutation of the naturals equal to the identity outside a window.
 
@@ -41,12 +49,18 @@ class WindowPerm:
     __slots__ = ("_map",)
 
     def __init__(self, images: Iterable[int] = ()):
-        m = list(images)
+        m = tuple(images)
         if sorted(m) != list(range(len(m))):
             raise ValueError("images do not form a bijection of the window")
-        while m and m[-1] == len(m) - 1:
-            m.pop()
-        self._map = tuple(m)
+        self._map = _strip(m)
+
+    @classmethod
+    def _of(cls, images: tuple[int, ...]) -> "WindowPerm":
+        """A permutation built by a group operation on valid ones, stored
+        unchecked but for the fixed points a product or power leaves at its end."""
+        out = object.__new__(cls)
+        out._map = _strip(images)
+        return out
 
     # -- basics -------------------------------------------------------------
 
@@ -80,13 +94,13 @@ class WindowPerm:
 
     def __mul__(self, other: "WindowPerm") -> "WindowPerm":
         """Composition of maps: ``(a * b)(n) = a(b(n))``."""
-        return WindowPerm(perm.compose(self._map, other._map))
+        return WindowPerm._of(perm.compose(self._map, other._map))
 
     def inverse(self) -> "WindowPerm":
-        return WindowPerm(perm.invert(self._map))
+        return WindowPerm._of(perm.invert(self._map))
 
     def __pow__(self, n: int) -> "WindowPerm":
-        return WindowPerm(perm.power(self._map, n))
+        return WindowPerm._of(perm.power(self._map, n))
 
     def conj(self, by: "WindowPerm") -> "WindowPerm":
         """``by**-1 * self * by``."""

@@ -5,8 +5,10 @@ of ``i``; where two operands differ in length, the shorter one is read as
 fixing every point past its end.  :class:`~randlab.dyadic.DyadicMPT`,
 :class:`~randlab.groups.WindowPerm` and :class:`~randlab.spaces.SpaceIsometry`
 each store one, and their group operations are the functions below.
-Nothing here validates its input: each class checks its own tuples and
-keeps its own normal form.
+Nothing here validates its input: each class checks its tuples once,
+where they enter through its public constructor, and keeps its own normal
+form.  A result computed here from valid operands is again a permutation,
+so the group operations store it through the class's unchecked ``_of``.
 """
 
 from __future__ import annotations

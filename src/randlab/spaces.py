@@ -107,16 +107,24 @@ class SpaceIsometry:
                 if d[m[i]][m[j]] != d[i][j]:
                     raise ValueError("mapping does not preserve distances")
 
+    @classmethod
+    def _of(cls, space: FiniteMetricSpace, mapping: tuple[int, ...]) -> "SpaceIsometry":
+        """An isometry built by a group operation on valid ones; stored unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "mapping", mapping)
+        return out
+
     def __call__(self, p: Hashable) -> Hashable:
         return self.space.points[self.mapping[self.space.index(p)]]
 
     def __mul__(self, other: "SpaceIsometry") -> "SpaceIsometry":
         if self.space != other.space:
             raise MismatchedSpace("isometries of different spaces")
-        return SpaceIsometry(self.space, perm.compose(self.mapping, other.mapping))
+        return SpaceIsometry._of(self.space, perm.compose(self.mapping, other.mapping))
 
     def inverse(self) -> "SpaceIsometry":
-        return SpaceIsometry(self.space, perm.invert(self.mapping))
+        return SpaceIsometry._of(self.space, perm.invert(self.mapping))
 
     def conj(self, by: "SpaceIsometry") -> "SpaceIsometry":
         return by.inverse() * self * by

@@ -354,6 +354,8 @@ def constant_generic_conjugator(
     for i, v in enumerate(f.values):
         try:
             rho = matcher(g, v, eps)
+        except CertificateError:
+            raise  # a failed postcondition is a fault, not a missed match
         except (RandlabError, ValueError) as exc:
             raise Unmatchable(
                 f"interval {i}: value not {eps}-conjugate to target ({exc})",

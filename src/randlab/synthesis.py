@@ -524,6 +524,8 @@ def _transformation_factor(
     if bounds:
         try:
             q = mpt_conjugate_match(t, targets[0].center_t, min(bounds) / 2).r
+        except CertificateError:
+            raise  # a failed postcondition is a fault, not a missed match
         except RandlabError as exc:
             raise OracleFailure(
                 f"transformation factor: {exc}", component="aut"
