@@ -36,7 +36,7 @@ for k in range(1, 4):
     for i in range(2 ** 3 // 2 ** k):
         values[i] = fresh
     sequence.append(StepFn(3, tuple(values)))
-report = lsc_probe(f, h, sequence, F(0), perm_dp, perm_du)
+report = lsc_probe(f, h, sequence, perm_dp, perm_du)
 print("pointwise distances to f:", [str(d) for d in report.seq_dhat])
 print("uniform distances to h:  ", [str(d) for d in report.seq_dhat_u])
 print("lower semicontinuity held:", report.holds)

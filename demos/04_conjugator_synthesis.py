@@ -25,7 +25,7 @@ from randlab import (
     synthesize_conjugator,
 )
 from randlab.dyadic import DyadicSet
-from randlab.groups import shifted
+from randlab.groups import from_cycles
 from randlab.corpus import rand_aperiodic_mpt, rand_cycle_type, rand_step_perm, rand_window_perm
 from randlab.synthesis import format_synthesis_result
 
@@ -75,10 +75,15 @@ t_shared = rand_cycle_type(rng, 7, [16] * 8)
 t_c = rand_cycle_type(rng, 7, [16] * 8)
 
 
+def translated(p, offset):
+    """Copy of ``p`` moved up by ``offset``, onto a disjoint window."""
+    return from_cycles([[x + offset for x in c] for c in p.cycles()])
+
+
 def coordinate(offset):
-    g = shifted(cycle_pack({16 * j: 1 for j in range(1, 5)}), offset)
+    g = translated(cycle_pack({16 * j: 1 for j in range(1, 5)}), offset)
     values = tuple(
-        g.conj(shifted(rand_window_perm(rng, 6), offset)) for _ in range(4)
+        g.conj(translated(rand_window_perm(rng, 6), offset)) for _ in range(4)
     )
     tgt = ProductNbhd(
         center_f=StepFn(2, values),

@@ -26,9 +26,7 @@ from .groups import (
     WindowPerm,
     cycle_pack,
     generic_surrogate,
-    match_on_window,
     orbitals_and_signs,
-    perm_metrics,
     power_cycle_type,
     power_invariance_check,
 )

@@ -159,12 +159,10 @@ def cmd_metrics(cfg):
             for i in range(count)
         ]
     budget = _int(cfg, "pointwise_budget", 24, lo=1)
-    est_budget = _int(cfg, "witness_budget", 8, lo=1)
-    est_seed = _int(cfg, "seed", 0)
     for i, a, b in pairs:
         exact = lu_exact_discrete(a, b)
         bounds = lu_bounds(a, b)
-        est = lu_estimate(a, b, budget=est_budget, seed=est_seed + i)
+        est = lu_estimate(a, b)
         rows.append(
             {
                 "id": i,
@@ -319,13 +317,18 @@ def cmd_power(cfg):
     return rows
 
 
+# each command with the config keys it reads; ``seed`` is accepted by all,
+# since ``--seed`` folds into every config
 COMMANDS = {
-    "metrics": cmd_metrics,
-    "tower": cmd_tower,
-    "synthesize": cmd_synthesize,
-    "density": cmd_density,
-    "verify": cmd_verify,
-    "power": cmd_power,
+    "metrics": (cmd_metrics, {"a", "b", "level", "window", "count", "pointwise_budget"}),
+    "tower": (cmd_tower, {"mpt", "height", "bound"}),
+    "synthesize": (
+        cmd_synthesize,
+        {"count", "level", "height", "k", "window", "eps", "emit_certificates"},
+    ),
+    "density": (cmd_density, {"count", "eps"}),
+    "verify": (cmd_verify, {"scale"}),
+    "power": (cmd_power, {"perm", "n", "count", "max_n"}),
 }
 
 
@@ -372,8 +375,12 @@ def run_command(command: str, cfg: dict[str, str], seed=None, fmt_name="csv", ou
     """
     if seed is not None:
         cfg = dict(cfg, seed=str(seed))
+    run, keys = COMMANDS[command]
+    unknown = sorted(cfg.keys() - keys - {"seed"})
+    if unknown:
+        raise ConfigError(f"unknown key(s) for {command}: {', '.join(unknown)}")
     start = time.perf_counter()
-    rows = COMMANDS[command](cfg)
+    rows = run(cfg)
     runtime = time.perf_counter() - start
     digest = config_digest(command, cfg)
     buffer = io.StringIO()

@@ -22,6 +22,7 @@ from . import perm
 from .errors import (
     CertificateError,
     LeftoverIndivisible,
+    NotAnIndex,
     NotAperiodic,
     ParseError,
     TowerTooCoarse,
@@ -42,6 +43,13 @@ def point_interval(level: int, omega: Fraction) -> int:
     return int(omega * 2 ** level)
 
 
+def _checked_level(level) -> int:
+    """``level``, after checking that it is a nonnegative plain int."""
+    if type(level) is not int or level < 0:
+        raise NotAnIndex(f"level {level!r} is not a nonnegative int")
+    return level
+
+
 # ---------------------------------------------------------------------------
 # Dyadic sets
 # ---------------------------------------------------------------------------
@@ -54,9 +62,12 @@ class DyadicSet:
     members: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        n = 2 ** self.level
-        object.__setattr__(self, "members", frozenset(self.members))
-        if any(not 0 <= i < n for i in self.members):
+        n = 2 ** _checked_level(self.level)
+        members = frozenset(self.members)
+        object.__setattr__(self, "members", members)
+        if not set(map(type, members)) <= {int}:
+            raise NotAnIndex("interval indices must be ints")
+        if any(not 0 <= i < n for i in members):
             raise ValueError("interval index out of range")
 
     @classmethod
@@ -123,11 +134,15 @@ class DyadicMPT:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        n = 2 ** self.level
+        n = 2 ** _checked_level(self.level)
         images = tuple(self.perm)
         object.__setattr__(self, "perm", images)
+        if not set(map(type, images)) <= {int}:
+            raise NotAnIndex("interval images must be ints")
         if len(images) != n or sorted(images) != list(range(n)):
-            raise ValueError(f"perm is not a bijection of 0..{n - 1}")
+            raise ValueError(
+                f"perm is not a bijection of 0..{n - 1} at level {self.level}"
+            )
 
     @classmethod
     def _of(cls, level: int, images: tuple[int, ...]) -> "DyadicMPT":
@@ -215,18 +230,6 @@ class DyadicMPT:
 
     def min_cycle_length(self) -> int:
         return min(len(c) for c in self.cycles(include_fixed=True))
-
-    def is_n_aperiodic(self, n: int) -> bool:
-        """All cycles have length at least ``n``."""
-        return self.min_cycle_length() >= n
-
-    def period_class(self, k: int) -> DyadicSet:
-        """The set of intervals lying on cycles of length exactly ``k``."""
-        members = set()
-        for cyc in self.cycles(include_fixed=True):
-            if len(cyc) == k:
-                members.update(cyc)
-        return DyadicSet(self.level, frozenset(members))
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +503,7 @@ def _exact_conjugator(t0: DyadicMPT, s0: DyadicMPT) -> DyadicMPT:
     return DyadicMPT(t0.level, r)
 
 
-def mpt_conjugate_match(
-    t: DyadicMPT, s: DyadicMPT, eps: Fraction, height: int | None = None
-) -> ConjugacyMatch:
+def mpt_conjugate_match(t: DyadicMPT, s: DyadicMPT, eps: Fraction) -> ConjugacyMatch:
     """Find ``r`` with ``delta_u(r**-1 * t * r, s) < eps``.
 
     Equal cycle types are exactly conjugate (height 0 in the report);
@@ -523,17 +524,13 @@ def mpt_conjugate_match(
             raise CertificateError("exact conjugator misses")
         return ConjugacyMatch(r=r, achieved=achieved, height=0)
     max_n = min(t.min_cycle_length(), s.min_cycle_length(), 2 ** m)
-    heights: list[int]
-    if height is not None:
-        heights = [height]
-    else:
-        heights = []
-        n = 1
-        while 2 * n <= max_n:
-            n *= 2
-        while n >= 2:
-            heights.append(n)
-            n //= 2
+    heights = []
+    n = 1
+    while 2 * n <= max_n:
+        n *= 2
+    while n >= 2:
+        heights.append(n)
+        n //= 2
     if not heights:
         raise NotAperiodic(
             "maps with fixed intervals and differing cycle types cannot be "

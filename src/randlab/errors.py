@@ -15,6 +15,11 @@ class ParseError(RandlabError):
         self.line = line
 
 
+class NotAnIndex(RandlabError, ValueError):
+    """An image, member or level given to a constructor is not a
+    nonnegative plain ``int``."""
+
+
 class MismatchedSpace(RandlabError):
     """Operands live over different value spaces or groups."""
 

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import perm
 from .dyadic import DyadicMPT, format_fraction
-from .errors import CertificateError, InsufficientCycles, NotInjective, ParseError
+from .errors import CertificateError, InsufficientCycles, NotAnIndex, NotInjective, ParseError
 
 # ---------------------------------------------------------------------------
 # Window permutations
@@ -50,6 +50,8 @@ class WindowPerm:
 
     def __init__(self, images: Iterable[int] = ()):
         m = tuple(images)
+        if not set(map(type, m)) <= {int}:
+            raise NotAnIndex("window images must be ints")
         if sorted(m) != list(range(len(m))):
             raise ValueError("images do not form a bijection of the window")
         self._map = _strip(m)
@@ -136,19 +138,6 @@ def from_cycles(cycles: Iterable[Sequence[int]]) -> WindowPerm:
     return WindowPerm(perm.close_cycles(range(w), cycles))
 
 
-def transposition(a: int, b: int) -> WindowPerm:
-    return from_cycles([[a, b]]) if a != b else E
-
-
-def shifted(p: WindowPerm, offset: int) -> WindowPerm:
-    """Conjugate of ``p`` by the translation ``n -> n + offset``."""
-    if offset < 0:
-        raise ValueError("offset must be nonnegative")
-    return WindowPerm(
-        list(range(offset)) + [p(n) + offset for n in range(p.window)]
-    )
-
-
 def format_cycles(p: WindowPerm) -> str:
     cycles = p.cycles()
     if not cycles:
@@ -188,20 +177,6 @@ def perm_dp(a: WindowPerm, b: WindowPerm) -> Fraction:
 def perm_du(a: WindowPerm, b: WindowPerm) -> Fraction:
     """Uniform metric on the discrete naturals: 1 when distinct, else 0."""
     return Fraction(0) if a == b else Fraction(1)
-
-
-def perm_metrics(a: WindowPerm, b: WindowPerm) -> tuple[Fraction, Fraction]:
-    return perm_dp(a, b), perm_du(a, b)
-
-
-def window_du(k: int):
-    """Uniform metric restricted to the window ``range(k)``."""
-
-    def metric(a: WindowPerm, b: WindowPerm) -> Fraction:
-        differ = any(a(n) != b(n) for n in range(k))
-        return Fraction(1) if differ else Fraction(0)
-
-    return metric
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +371,6 @@ def match_partial(
     if any(conj(k) != v for k, v in target.items()):
         raise CertificateError("window match postcondition failed")
     return rho
-
-
-def match_on_window(
-    sigma: WindowPerm, n: int, target: Mapping[int, int], k: int
-) -> WindowPerm:
-    """Conjugate ``sigma**n`` to agree with ``target`` below ``k``.
-
-    ``target`` must be a partial injection with domain inside ``range(k)``;
-    the returned ``rho`` satisfies ``(rho**-1 * sigma**n * rho)(m) ==
-    target[m]`` for every constrained ``m``.
-    """
-    if any(key < 0 or key >= k for key in target):
-        raise ValueError(f"target domain must lie in range({k})")
-    return match_partial(sigma, n, target)
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,7 @@ from .errors import (
     RandlabError,
     Unmatchable,
 )
-from .groups import (
-    E,
-    WindowPerm,
-    format_cycles,
-    match_on_window,
-    parse_cycles,
-    perm_du,
-    window_du,
-)
+from .groups import E, WindowPerm, format_cycles, match_partial, parse_cycles, perm_du
 from .spaces import SpaceIsometry, isometry_du, nat_discrete, space_identity
 
 Metric = Callable[[object, object], Fraction]
@@ -224,14 +216,12 @@ class LscReport:
     tail_min: Fraction                   # min of seq_dhat_u over the tail
     holds: bool                          # lhs <= tail_min
     corrected_holds: bool                # lhs <= value + mass(seq_k != f), all k
-    witness: dict | None
 
 
 def lsc_probe(
     f: StepFn,
     h: StepFn,
     sequence: Sequence[StepFn],
-    r: Fraction | None,
     metric: Metric,
     metric_u: Metric,
 ) -> LscReport:
@@ -242,9 +232,6 @@ def lsc_probe(
     ``dhat_u(seq_k, h)`` over the tail (the second half of the sequence),
     and also the finite-scale bound that holds unconditionally:
     ``dhat_u(f, h) <= dhat_u(seq_k, h) + mu(seq_k != f)`` for every k.
-
-    When ``r`` is given with ``r < dhat_u(f, h)``, the report carries the
-    ball-radius witness structure built from the positive gap.
     """
     if not sequence:
         raise NotConverging("empty probe sequence")
@@ -259,23 +246,6 @@ def lsc_probe(
         lhs <= val + _disagreement_mass(s, f)
         for val, s in zip(seq_du, sequence)
     )
-    witness = None
-    if r is not None:
-        r = Fraction(r)
-        if r < lhs:
-            eps = lhs - r
-            # distances where metric_u is positive, over represented values
-            m, fv, hv = zip_values(f, h)
-            gaps = sorted({metric_u(a, b) for a, b in zip(fv, hv)} - {Fraction(0)})
-            min_gap = gaps[0] if gaps else Fraction(1)
-            big_n = max(1, (1 / min_gap).__ceil__())
-            witness = {
-                "epsilon": eps,
-                "levels": gaps,
-                "ball_index": big_n,
-                "radius": eps / (4 * big_n),
-                "exceptional_measure": Fraction(0),
-            }
     return LscReport(
         seq_dhat=seq_d,
         seq_dhat_u=seq_du,
@@ -283,7 +253,6 @@ def lsc_probe(
         tail_min=tail_min,
         holds=lhs <= tail_min,
         corrected_holds=corrected,
-        witness=witness,
     )
 
 
@@ -296,64 +265,34 @@ def _disagreement_mass(a: StepFn, b: StepFn) -> Fraction:
 # Conjugating a function toward a constant
 # ---------------------------------------------------------------------------
 
-def exact_perm_conjugator(g: WindowPerm, v: WindowPerm) -> WindowPerm | None:
-    """``rho`` with ``rho**-1 * g * rho == v`` exactly, or None.
-
-    Exists precisely when the nontrivial cycle censuses agree; cycles are
-    paired by length in least-point order.
-    """
-    r = perm.conjugator(g.images, v.images)
-    if r is None:
-        return None
-    rho = WindowPerm(r)
-    if g.conj(rho) != v:
-        raise CertificateError("exact conjugator misses")
-    return rho
-
-
-def default_window_matcher(k: int):
-    """Matcher for window permutations: exact when censuses agree, else
-    agreement below ``k`` through the spare-cycle embedding."""
-
-    def matcher(g: WindowPerm, value: WindowPerm, eps: Fraction) -> WindowPerm:
-        rho = exact_perm_conjugator(g, value)
-        if rho is not None:
-            return rho
-        target = {n: value(n) for n in range(k)}
-        return match_on_window(g, 1, target, k)
-
-    return matcher
-
-
 def constant_generic_conjugator(
-    g,
-    f: StepFn,
-    k: int,
-    eps: Fraction,
-    matcher=None,
-    metric_u: Metric | None = None,
+    g: WindowPerm, f: StepFn, k: int, eps: Fraction
 ) -> tuple[StepFn, Fraction]:
     """Build ``h`` with ``dhat_u(f, h**-1 * C_g * h) <= eps``.
 
-    The matching oracle is called independently on each interval value (the
-    finite stand-in for a measurable selection); for window permutations
-    the default matcher conjugates exactly when possible and otherwise
-    matches below window ``k`` against the window-restricted uniform
-    metric.  Returns the conjugating step function and the exact achieved
-    distance.  Raises :class:`Unmatchable` naming the first failing
-    interval.
+    Each interval value is matched on its own (the finite stand-in for a
+    measurable selection): exactly when its cycle census agrees with
+    ``g``'s, otherwise below window ``k`` through the spare-cycle
+    embedding, and measured by the uniform metric restricted to
+    ``range(k)``.  Returns the conjugating step function and the exact
+    achieved distance.  Raises :class:`Unmatchable` naming the first
+    failing interval.
     """
     eps = Fraction(eps)
-    if matcher is None:
-        matcher = default_window_matcher(k)
-    if metric_u is None:
-        if not value_kind(f.values[0]).discrete:
-            raise ValueError("metric_u required for non-permutation values")
-        metric_u = window_du(k)
-    conjugators = []
+    if any(type(v) is not WindowPerm for v in (g, *f.values)):
+        raise MismatchedSpace("constant conjugation needs window permutations")
+
+    def metric_u(a: WindowPerm, b: WindowPerm) -> Fraction:
+        return Fraction(any(a(n) != b(n) for n in range(k)))
+
+    conjugators, conjugates = [], []
     for i, v in enumerate(f.values):
+        r = perm.conjugator(g.images, v.images)
         try:
-            rho = matcher(g, v, eps)
+            if r is None:
+                rho = match_partial(g, 1, {n: v(n) for n in range(k)})
+            else:
+                rho = WindowPerm(r)
         except CertificateError:
             raise  # a failed postcondition is a fault, not a missed match
         except (RandlabError, ValueError) as exc:
@@ -361,18 +300,20 @@ def constant_generic_conjugator(
                 f"interval {i}: value not {eps}-conjugate to target ({exc})",
                 interval=i,
             ) from exc
-        if metric_u(v, g.conj(rho)) > eps:
+        conjugate = g.conj(rho)
+        if r is not None and conjugate != v:
+            raise CertificateError("exact conjugator misses")
+        if metric_u(v, conjugate) > eps:
             raise Unmatchable(
-                f"interval {i}: matcher result misses tolerance {eps}",
+                f"interval {i}: conjugate misses tolerance {eps}",
                 interval=i,
             )
         conjugators.append(rho)
-    h = StepFn(f.level, tuple(conjugators))
-    conjugated = h.map(lambda rho: g.conj(rho))
-    achieved = dhat(f, conjugated, metric_u)
+        conjugates.append(conjugate)
+    achieved = dhat(f, StepFn(f.level, tuple(conjugates)), metric_u)
     if achieved > eps:
         raise CertificateError(f"achieved distance {achieved} exceeds {eps}")
-    return h, achieved
+    return StepFn(f.level, tuple(conjugators)), achieved
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def suite_lower_semicontinuity(seed: int = 2, sequences: int = 100) -> SuiteResu
             for i in range(2 ** level // 2 ** k):
                 vals[i] = fresh
             seq.append(StepFn(level, tuple(vals)))
-        rep = lsc_probe(f, h, seq, None, perm_dp, perm_du)
+        rep = lsc_probe(f, h, seq, perm_dp, perm_du)
         res.checks += 1
         res.failures += not (rep.holds and rep.corrected_holds)
     return _finish(res, start)
@@ -199,7 +199,7 @@ def suite_discrete_uniform_metric(seed: int = 3, pairs: int = 200) -> SuiteResul
         )
         res.checks += 1
         res.failures += not exact == F(union, 2 ** c.f.level)
-        est = lu_estimate(a, b, budget=8, seed=seed * 1000 + i)
+        est = lu_estimate(a, b)
         res.checks += 1
         res.failures += not (exact - gap <= est.value <= exact)
         for _ in range(3):

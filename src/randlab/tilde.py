@@ -7,7 +7,8 @@ makes the pair an isometry of the step functions under the integral metric.
 The module provides the group law, the action, an explicit pointwise
 metric, neighborhood calculators relating the pointwise and product
 topologies, and three routes to the uniform metric: the exact discrete
-formula, two-sided sandwich bounds, and a witness-family estimator.
+formula, two-sided sandwich bounds, and a lower estimate from explicit
+witness test functions.
 """
 
 from __future__ import annotations
@@ -232,14 +233,6 @@ def nbhd_product_to_pointwise(
         value_conditions=tuple((v, bound) for v, _ in pieces),
         set_conditions=tuple((s, bound) for _, s in pieces),
     )
-
-
-def pointwise_displacement(
-    center: TildeElement, member: TildeElement, alpha: StepFn
-) -> Fraction:
-    """Exact action displacement at one test function."""
-    metric = _point_metric(center.f)
-    return dhat(tilde_act(center, alpha), tilde_act(member, alpha), metric)
 
 
 @dataclass(frozen=True)
@@ -473,45 +466,27 @@ def lu_bounds(a: TildeElement, b: TildeElement) -> LuBounds:
 
 # -- witness families ---------------------------------------------------------
 
-def _fresh_values(c: TildeElement, count: int) -> list[int]:
-    """Naturals beyond every window of the fiber, so every represented
-    permutation fixes them."""
-    top = max(v.window for v in c.f.values)
-    return list(range(top, top + count))
+def _discrete_witness(c: TildeElement) -> StepFn:
+    """Witness realizing the exact discrete formula.
 
-
-def _discrete_witnesses(c: TildeElement) -> list[StepFn]:
-    """Deterministic witnesses for the exact discrete formula.
-
-    One combined function realizes the full disagreement set: on fixed
-    intervals with nontrivial fiber value it picks the least displaced
-    point; along each cycle of the transformation it places value 0 at the
-    cycle head and fresh values (fixed by every represented permutation) at
-    the later positions, so each link of the cycle disagrees.
+    On fixed intervals with nontrivial fiber value it picks the least
+    displaced point; along each cycle of the transformation it places value
+    0 at the cycle head and fresh values (positive and beyond every window
+    of the fiber, so fixed by every represented permutation) at the later
+    positions, so each link of the cycle disagrees.
     """
     level = max(c.f.level, c.t.level)
     f, t = c.f.refine(level), c.t.refine(level)
-    cycles = t.cycles()
-    longest = max((len(cy) for cy in cycles), default=1)
-    fresh = _fresh_values(c, max(longest - 1, 1))
+    top = max(1, *(v.window for v in c.f.values))
     values = [0] * 2 ** level
     for i in range(2 ** level):
         v = f.values[i]
         if t.perm[i] == i and not v.is_identity():
             values[i] = min(v.support())
-    for cy in cycles:
+    for cy in t.cycles():
         for pos, i in enumerate(cy):
-            values[i] = 0 if pos == 0 else fresh[pos - 1]
-    combined = StepFn(level, tuple(values))
-    # the two-block functions per period class, kept for the record
-    witnesses = [combined]
-    for cy in cycles[:4]:
-        blocks = [0 if pos % 2 == 0 else fresh[0] for pos in range(len(cy))]
-        vals = [0] * 2 ** level
-        for pos, i in enumerate(cy):
-            vals[i] = blocks[pos]
-        witnesses.append(StepFn(level, tuple(vals)))
-    return witnesses
+            values[i] = top + pos - 1 if pos else 0
+    return StepFn(level, tuple(values))
 
 
 def _metric_witnesses(c: TildeElement) -> list[StepFn]:
@@ -568,11 +543,14 @@ class LuEstimate:
 def lu_estimate(
     a: TildeElement, b: TildeElement, budget: int = 16, seed: int = 0
 ) -> LuEstimate:
-    """Best action displacement over deterministic and seeded witnesses.
+    """Best action displacement over explicit witness test functions.
 
-    The result is an exact lower bound for the uniform distance; the
-    deterministic family alone already reaches the moving-set formula in
-    the discrete case and the sandwich lower bound in general.
+    The result is an exact lower bound for the uniform distance.  Over a
+    discrete space one witness reaches ``mu({h != e} union {R != id})``,
+    which bounds every displacement, so it is the only one evaluated and
+    ``budget`` and ``seed`` are not used.  Over a metric space the
+    deterministic family reaches the sandwich lower bound, and ``budget``
+    seeded random test functions join it.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -580,22 +558,16 @@ def lu_estimate(
     v0 = c.f.values[0]
     kind = value_kind(v0)
     metric = kind.point_metric(v0)
-    witnesses = _discrete_witnesses(c) if kind.discrete else _metric_witnesses(c)
-    rng = random.Random(seed)
-    level = max(c.f.level, c.t.level)
-    n = 2 ** level
     if kind.discrete:
-        fresh = _fresh_values(c, 4)
-        pool = list(range(4)) + fresh
-        for _ in range(budget):
-            witnesses.append(
-                StepFn(level, tuple(rng.choice(pool) for _ in range(n)))
-            )
+        witnesses = [_discrete_witness(c)]
     else:
+        witnesses = _metric_witnesses(c)
+        rng = random.Random(seed)
+        level = max(c.f.level, c.t.level)
         points = v0.space.points
         for _ in range(budget):
             witnesses.append(
-                StepFn(level, tuple(rng.choice(points) for _ in range(n)))
+                StepFn(level, tuple(rng.choice(points) for _ in range(2 ** level)))
             )
     best = ZERO
     for alpha in witnesses:

@@ -194,6 +194,38 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, text):
 @pytest.mark.parametrize(
     "command,text",
     [
+        ("metrics", "seed = 1\nwitnes_budget = 0\n"),
+        ("tower", "mpt = shift:5\nheight = 4\nhieght = 4\n"),
+        ("synthesize", "seed = 1\nemit_certificate = true\n"),
+        ("density", "seed = 1\nlevel = 3\n"),
+        ("verify", "scale = 0.02\ncount = 2\n"),
+        ("power", "perm = (0 1 2)\nwindow = 4\n"),
+    ],
+)
+def test_unknown_keys_are_config_errors(tmp_path, capsys, command, text):
+    cfg = write(tmp_path, "typo.cfg", text)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "unknown key" in err
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("metrics", "a = tilde { step 0 [(0 1)] ; mpt 0 0 }\n"
+                    "b = tilde { step 0 [()] ; mpt 0 0 }\nseed = 4\n"),
+        ("tower", "mpt = shift:3\nheight = 2\nseed = 4\n"),
+        ("power", "perm = (0 1 2)\nn = 2\nseed = 4\n"),
+    ],
+)
+def test_commands_that_sample_nothing_accept_a_seed(tmp_path, command, text):
+    cfg = write(tmp_path, "seeded.cfg", text)
+    assert main([command, "--config", cfg, "--seed", "9"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
         ("tower", "mpt = shift:64\nheight = 1\n"),
         ("tower", "mpt = cycle:64\nheight = 1\n"),
         ("tower", "mpt = mpt 64 0\nheight = 1\n"),

@@ -22,7 +22,7 @@ from randlab.corpus import (
     rand_window_perm,
 )
 from randlab.dyadic import DyadicSet, format_mpt
-from randlab.groups import cycle_pack, shifted
+from randlab.groups import cycle_pack, from_cycles
 from randlab.stepfn import StepFn
 from randlab.suites import neighborhood_case
 from randlab.synthesis import (
@@ -33,6 +33,11 @@ from randlab.synthesis import (
 from randlab.tilde import ProductNbhd, TildeElement, format_tilde
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def translated(p, offset):
+    """Copy of ``p`` moved up by ``offset``: ``n + offset -> p(n) + offset``."""
+    return from_cycles([[x + offset for x in c] for c in p.cycles()])
 
 
 def _text(x) -> str:
@@ -77,7 +82,7 @@ def _diagonal_centered():
     t = rand_cycle_type(rng, 6, [16] * 4)
     sources = [
         TildeElement(StepFn.constant(g, 0), t)
-        for g in (cycle_pack({8: 1}), shifted(cycle_pack({8: 1}), 50))
+        for g in (cycle_pack({8: 1}), translated(cycle_pack({8: 1}), 50))
     ]
     targets = [
         ProductNbhd(
@@ -97,8 +102,8 @@ def _diagonal_disjoint():
     t_center = rand_cycle_type(rng, 7, [16] * 8)
 
     def coordinate(offset):
-        g = shifted(cycle_pack({16 * j: 1 for j in range(1, 5)}), offset)
-        conjs = [shifted(rand_window_perm(rng, 6), offset) for _ in range(4)]
+        g = translated(cycle_pack({16 * j: 1 for j in range(1, 5)}), offset)
+        conjs = [translated(rand_window_perm(rng, 6), offset) for _ in range(4)]
         target = ProductNbhd(
             center_f=StepFn(2, tuple(g.conj(c) for c in conjs)),
             center_t=t_center,

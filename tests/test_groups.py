@@ -18,26 +18,24 @@ from randlab.groups import (
     format_pl,
     from_cycles,
     generic_surrogate,
-    match_on_window,
     match_partial,
     orbitals_and_signs,
     parse_cycles,
     parse_pl,
     perm_dp,
     perm_du,
-    perm_metrics,
     power_cycle_type,
     power_invariance_check,
-    shifted,
 )
 
 
 # -- window permutations ------------------------------------------------------
 
-def test_perm_metrics_examples():
-    assert perm_metrics(E, E) == (0, 0)
-    assert perm_metrics(parse_cycles("(0 1)"), E) == (F(3, 4), 1)
-    assert perm_metrics(parse_cycles("(5 6)"), E) == (F(3, 128), 1)
+def test_perm_dp_du_examples():
+    assert perm_dp(E, E) == perm_du(E, E) == 0
+    assert perm_dp(parse_cycles("(0 1)"), E) == F(3, 4)
+    assert perm_dp(parse_cycles("(5 6)"), E) == F(3, 128)
+    assert perm_du(parse_cycles("(5 6)"), E) == 1
 
 
 def test_perm_group_axioms():
@@ -53,8 +51,7 @@ def test_dp_bounded_by_du():
     rng = random.Random(5)
     for _ in range(80):
         a, b = rand_window_perm(rng, 12), rand_window_perm(rng, 12)
-        dp, du = perm_metrics(a, b)
-        assert dp <= du
+        assert perm_dp(a, b) <= perm_du(a, b)
 
 
 def test_normalization_strips_trailing_fixed_points():
@@ -97,21 +94,21 @@ def test_power_rule_exhaustive_corpus():
 
 def test_match_identity_target():
     sigma = generic_surrogate(4, 2).realized
-    rho = match_on_window(sigma, 2, {n: n for n in range(4)}, 4)
+    rho = match_partial(sigma, 2, {n: n for n in range(4)})
     conj = sigma.conj(rho) if False else (rho.inverse() * sigma ** 2 * rho)
     assert all(conj(n) == n for n in range(4))
 
 
 def test_match_three_cycle():
     sigma = generic_surrogate(6, 1).realized
-    rho = match_on_window(sigma, 1, {0: 1, 1: 2, 2: 0}, 3)
+    rho = match_partial(sigma, 1, {0: 1, 1: 2, 2: 0})
     conj = rho.inverse() * sigma * rho
     assert (conj(0), conj(1), conj(2)) == (1, 2, 0)
 
 
 def test_match_chain_gets_fresh_image():
     sigma = generic_surrogate(8, 1).realized
-    rho = match_on_window(sigma, 1, {0: 1, 1: 2}, 3)
+    rho = match_partial(sigma, 1, {0: 1, 1: 2})
     conj = rho.inverse() * sigma * rho
     assert conj(0) == 1 and conj(1) == 2
     assert conj(2) not in (0, 1, 2)  # chain end stays unconstrained
@@ -123,7 +120,7 @@ def test_match_postcondition_random():
     for _ in range(40):
         perm = rand_window_perm(rng, 6)
         target = {n: perm(n) for n in range(6)}
-        rho = match_on_window(sigma, 2, target, 6)
+        rho = match_partial(sigma, 2, target)
         conj = rho.inverse() * sigma ** 2 * rho
         assert all(conj(n) == target[n] for n in target)
 
@@ -131,26 +128,14 @@ def test_match_postcondition_random():
 def test_match_rejects_non_injective():
     sigma = generic_surrogate(4, 1).realized
     with pytest.raises(NotInjective):
-        match_on_window(sigma, 1, {0: 5, 1: 5}, 2)
+        match_partial(sigma, 1, {0: 5, 1: 5})
 
 
 def test_match_insufficient_cycles():
     sigma = from_cycles([[0, 1]])  # single 2-cycle
     with pytest.raises(InsufficientCycles) as info:
-        match_on_window(sigma, 1, {0: 1, 1: 2, 2: 3, 3: 0}, 4)
+        match_partial(sigma, 1, {0: 1, 1: 2, 2: 3, 3: 0})
     assert info.value.needed
-
-
-def test_match_domain_validation():
-    sigma = generic_surrogate(4, 1).realized
-    with pytest.raises(ValueError):
-        match_on_window(sigma, 1, {9: 1}, 4)
-
-
-def test_shifted_support():
-    p = shifted(parse_cycles("(0 1 2)"), 10)
-    assert p.support() == frozenset({10, 11, 12})
-    assert p(10) == 11
 
 
 def test_cycle_notation_round_trip():

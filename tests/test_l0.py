@@ -96,7 +96,7 @@ def test_two_isometry_valued_dhat():
 def test_lsc_probe_constant_sequence():
     rng = random.Random(11)
     f, h = rand_step_perm(rng, 3, 5), rand_step_perm(rng, 3, 5)
-    rep = lsc_probe(f, h, [f, f, f], None, perm_dp, perm_du)
+    rep = lsc_probe(f, h, [f, f, f], perm_dp, perm_du)
     assert rep.holds and rep.tail_min == rep.lhs
 
 
@@ -118,7 +118,7 @@ def test_lsc_probe_shrinking_corruption():
         f, h = rand_step_perm(rng, 4, 5), rand_step_perm(rng, 4, 5)
         fresh = parse_cycles("(40 41)")  # outside every window, differs from all
         seq = _corrupt(f, h, range(1, 5), fresh=fresh)
-        rep = lsc_probe(f, h, seq, None, perm_dp, perm_du)
+        rep = lsc_probe(f, h, seq, perm_dp, perm_du)
         assert rep.holds and rep.corrected_holds
 
 
@@ -130,7 +130,7 @@ def test_lsc_probe_negative_control():
     for trial in range(30):
         f, h = rand_step_perm(rng, 4, 5), rand_step_perm(rng, 4, 5)
         seq = _corrupt(f, h, range(1, 5), toward_h=True)
-        rep = lsc_probe(f, h, seq, None, perm_dp, perm_du)
+        rep = lsc_probe(f, h, seq, perm_dp, perm_du)
         if not rep.holds:
             violations += 1
             assert rep.corrected_holds  # the corrected bound always holds
@@ -142,18 +142,7 @@ def test_lsc_probe_rejects_non_converging():
     f, h = rand_step_perm(rng, 3, 5), rand_step_perm(rng, 3, 5)
     away = StepFn.constant(parse_cycles("(50 51)"), 3)
     with pytest.raises(NotConverging):
-        lsc_probe(f, h, [f, away], None, perm_dp, perm_du)
-
-
-def test_lsc_witness_structure():
-    rng = random.Random(23)
-    f, h = rand_step_perm(rng, 3, 5), rand_step_perm(rng, 3, 5)
-    rep = lsc_probe(f, h, [f, f], F(0), perm_dp, perm_du)
-    if rep.lhs > 0:
-        assert rep.witness is not None
-        assert rep.witness["radius"] == rep.witness["epsilon"] / (
-            4 * rep.witness["ball_index"]
-        )
+        lsc_probe(f, h, [f, away], perm_dp, perm_du)
 
 
 def test_constant_generic_conjugator_trivial():
@@ -189,6 +178,12 @@ def test_constant_generic_conjugator_unmatchable():
     with pytest.raises(Unmatchable) as info:
         constant_generic_conjugator(g, bad, 3, F(0))
     assert info.value.interval == 0
+
+
+def test_constant_generic_conjugator_needs_window_permutations():
+    group = isometry_group(equilateral_space(3))
+    with pytest.raises(MismatchedSpace):
+        constant_generic_conjugator(group[1], StepFn.constant(group[1]), 3, F(0))
 
 
 def test_step_serialization():

@@ -27,7 +27,6 @@ from randlab.groups import (
     from_cycles,
     generic_surrogate,
     match_partial,
-    shifted,
 )
 from randlab.stepfn import StepFn
 from randlab.synthesis import (
@@ -45,6 +44,11 @@ from randlab.synthesis import (
     tower_product,
 )
 from randlab.tilde import ProductNbhd, TildeElement, lu_exact_discrete, tilde_identity
+
+
+def translated(p, offset):
+    """Copy of ``p`` moved up by ``offset``: ``n + offset -> p(n) + offset``."""
+    return from_cycles([[x + offset for x in c] for c in p.cycles()])
 
 
 # -- tower products ------------------------------------------------------------
@@ -387,7 +391,7 @@ def test_diagonal_single_coordinate_reduces():
 def test_diagonal_centered_targets_identity():
     rng = random.Random(53)
     g1 = cycle_pack({8: 1})
-    g2 = shifted(cycle_pack({8: 1}), 50)
+    g2 = translated(cycle_pack({8: 1}), 50)
     t = rand_cycle_type(rng, 6, [16] * 4)
     sources = [
         TildeElement(StepFn.constant(g1, 0), t),
@@ -414,8 +418,8 @@ def test_diagonal_disjoint_windows():
     t_center = rand_cycle_type(rng, level, [16] * 8)
 
     def coordinate(offset):
-        g = shifted(cycle_pack({16 * j: 1 for j in range(1, 5)}), offset)
-        conjs = [shifted(rand_window_perm(rng, 6), offset) for _ in range(4)]
+        g = translated(cycle_pack({16 * j: 1 for j in range(1, 5)}), offset)
+        conjs = [translated(rand_window_perm(rng, 6), offset) for _ in range(4)]
         f_c = StepFn(2, tuple(g.conj(c) for c in conjs))
         target = ProductNbhd(
             center_f=f_c,
@@ -513,8 +517,8 @@ def test_metric_task_default_height_needs_positive_eps(eps):
 def _two_coordinates(rng, t_shared, t_center, base, set_bound):
     pairs = []
     for offset in (0, 100):
-        g = shifted(base, offset)
-        conjs = [shifted(rand_window_perm(rng, 6), offset) for _ in range(4)]
+        g = translated(base, offset)
+        conjs = [translated(rand_window_perm(rng, 6), offset) for _ in range(4)]
         target = ProductNbhd(
             center_f=StepFn(2, tuple(g.conj(c) for c in conjs)),
             center_t=t_center,

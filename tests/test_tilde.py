@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randlab.corpus import (
     equilateral_space,
@@ -16,7 +18,7 @@ from randlab.corpus import (
 )
 from randlab.dyadic import DyadicMPT, DyadicSet, delta_u
 from randlab.errors import MismatchedSpace, NotDiscrete
-from randlab.groups import E, parse_cycles, perm_du
+from randlab.groups import E, WindowPerm, parse_cycles, perm_du
 from randlab.spaces import isometry_group, space_identity
 from randlab.stepfn import StepFn, dhat
 from randlab.tilde import (
@@ -30,7 +32,6 @@ from randlab.tilde import (
     nbhd_pointwise_to_product,
     nbhd_product_to_pointwise,
     parse_tilde,
-    pointwise_displacement,
     pointwise_metric,
     sample_members,
     tilde_act,
@@ -152,14 +153,36 @@ def test_lu_exact_rejects_non_discrete():
         lu_exact_discrete(a, tilde_identity(space_identity(space), 2))
 
 
-def test_lu_estimate_achieves_discrete_value():
-    rng = random.Random(29)
-    for i in range(50):
-        a, b = rand_tilde_perm(rng, 4, 6), rand_tilde_perm(rng, 4, 6)
-        exact = lu_exact_discrete(a, b)
-        est = lu_estimate(a, b, budget=2, seed=i)
-        assert est.value == exact
-        assert exact <= est.upper
+def window_values(level):
+    """Window permutations on 0..8 for each interval of ``level``."""
+    return st.lists(
+        st.integers(0, 8).flatmap(lambda w: st.permutations(range(w))).map(WindowPerm),
+        min_size=2 ** level,
+        max_size=2 ** level,
+    ).map(lambda vals: StepFn(level, tuple(vals)))
+
+
+def interval_maps(level):
+    return st.permutations(range(2 ** level)).map(lambda p: DyadicMPT(level, tuple(p)))
+
+
+def tilde_elements(level):
+    fibers = st.one_of(st.just(StepFn.constant(E, level)), window_values(level))
+    maps = st.one_of(st.just(DyadicMPT.identity(level)), interval_maps(level))
+    return st.builds(TildeElement, fibers, maps)
+
+
+pairs = st.integers(0, 5).flatmap(lambda lev: st.tuples(tilde_elements(lev), tilde_elements(lev)))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(pairs)
+def test_lu_estimate_achieves_discrete_value(ab):
+    # the single discrete witness reaches mu({h != e} u {R != id}), which
+    # bounds every displacement, so no other witness could raise the value
+    a, b = ab
+    est = lu_estimate(a, b)
+    assert est.value == lu_exact_discrete(a, b) <= est.upper
 
 
 def test_sampled_displacements_below_exact():
@@ -231,7 +254,7 @@ def test_nbhd_product_to_pointwise_containment():
     members = sample_members(box, 20, seed=7, value_pool=[E, parse_cycles("(0 1)")])
     assert members
     for m in members:
-        assert pointwise_displacement(center, m, space_alpha) < eps
+        assert PointwiseNbhd(center, ((space_alpha, eps),)).residuals(m)[0] < eps
 
 
 def test_nbhd_product_to_pointwise_whole_group():

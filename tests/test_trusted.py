@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from randlab import perm
 from randlab.corpus import equilateral_space
 from randlab.dyadic import DyadicMPT, DyadicSet, parse_mpt, parse_set
-from randlab.errors import CertificateError, ParseError
+from randlab.errors import CertificateError, NotAnIndex, ParseError, RandlabError
 from randlab.groups import E, WindowPerm, parse_cycles
 from randlab.spaces import SpaceIsometry, isometry_group, metric_space
 from randlab.stepfn import StepFn, constant_generic_conjugator
@@ -155,6 +155,36 @@ def test_public_construction_and_parsing_reject_bad_input():
     for text in ["mpt 1 0 0", "mpt 1 0 2", "set 1 2"]:
         with pytest.raises(ParseError):
             (parse_mpt if text.startswith("mpt") else parse_set)(text)
+
+
+NOT_INTS = {
+    "window-float-images": lambda: WindowPerm([1.0, 0.0]),
+    "window-bool-images": lambda: WindowPerm([True, False]),
+    "mpt-float-images": lambda: DyadicMPT(1, (1.0, 0.0)),
+    "mpt-bool-images": lambda: DyadicMPT(1, (True, False)),
+    "mpt-negative-level": lambda: DyadicMPT(-1, ()),
+    "mpt-float-level": lambda: DyadicMPT(1.0, (1, 0)),
+    "set-negative-level": lambda: DyadicSet(-1, frozenset()),
+    "set-bool-level": lambda: DyadicSet(True, frozenset()),
+    "set-float-member": lambda: DyadicSet(1, frozenset({1.0})),
+}
+
+
+@pytest.mark.parametrize("build", NOT_INTS.values(), ids=NOT_INTS.keys())
+def test_constructors_reject_what_is_not_an_int(build):
+    # images that only compare equal to ints used to build, and the first
+    # product then failed with a raw TypeError inside perm.compose
+    with pytest.raises(NotAnIndex) as info:
+        build()
+    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value, RandlabError)
+
+
+def test_mpt_errors_name_the_level():
+    with pytest.raises(NotAnIndex, match="level -1"):
+        DyadicMPT(-1, ())
+    with pytest.raises(ValueError, match="at level 2"):
+        DyadicMPT(2, (0, 1, 2, 2))
 
 
 # ---------------------------------------------------------------------------
