@@ -270,21 +270,19 @@ def cmd_density(cfg):
 
 
 def cmd_verify(cfg):
-    scale = float(_frac(cfg, "scale", "1", positive=True))
+    scale = _frac(cfg, "scale", "1", positive=True)
     seed_base = _int(cfg, "seed", 0)
-    rows = []
-    for res in run_all(seed_base=seed_base, scale=scale):
-        rows.append(
-            {
-                "id": res.suite_id,
-                "description": res.description,
-                "checks": res.checks,
-                "failures": res.failures,
-                "budget_s": fmt(Fraction(res.budget_seconds).limit_denominator()),
-                "pass": res.passed,
-            }
-        )
-    return rows
+    return [
+        {
+            "id": res.criterion.name,
+            "description": res.criterion.description,
+            "checks": res.checks,
+            "failures": res.failures,
+            "budget_s": fmt(F(res.criterion.budget_seconds)),
+            "pass": res.passed,
+        }
+        for res in run_all(seed_base=seed_base, scale=scale)
+    ]
 
 
 def cmd_power(cfg):

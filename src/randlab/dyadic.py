@@ -50,6 +50,22 @@ def _checked_level(level) -> int:
     return level
 
 
+def _checked_runs(runs: Iterable[Sequence[int]], n: int | None = None) -> list:
+    """``runs`` as a list, after checking that they are nonempty and their
+    points distinct nonnegative plain ints, below ``n`` when it is given."""
+    runs = list(runs)  # read a generator once, not once per pass
+    pts = [p for run in runs for p in run]
+    if not set(map(type, pts)) <= {int} or (pts and min(pts) < 0):
+        raise NotAnIndex("cycle points must be nonnegative ints")
+    if n is not None and pts and max(pts) >= n:
+        raise ValueError(f"cycle point out of range({n})")
+    if len(pts) != len(set(pts)):
+        raise ValueError("cycles are not disjoint")
+    if not all(runs):
+        raise ValueError("empty cycle")
+    return runs
+
+
 # ---------------------------------------------------------------------------
 # Dyadic sets
 # ---------------------------------------------------------------------------
@@ -166,7 +182,8 @@ class DyadicMPT:
 
     @staticmethod
     def from_cycles(level: int, cycles: Iterable[Sequence[int]]) -> "DyadicMPT":
-        return DyadicMPT(level, perm.close_cycles(range(2 ** level), cycles))
+        n = 2 ** _checked_level(level)
+        return DyadicMPT(level, perm.close_cycles(range(n), _checked_runs(cycles, n)))
 
     # -- structure --------------------------------------------------------
 

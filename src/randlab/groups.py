@@ -19,7 +19,7 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from . import perm
-from .dyadic import DyadicMPT, format_fraction
+from .dyadic import DyadicMPT, _checked_runs, format_fraction
 from .errors import CertificateError, InsufficientCycles, NotAnIndex, NotInjective, ParseError
 
 # ---------------------------------------------------------------------------
@@ -130,11 +130,8 @@ E = WindowPerm(())
 
 
 def from_cycles(cycles: Iterable[Sequence[int]]) -> WindowPerm:
-    cycles = list(cycles)  # read a generator once, not once per pass
-    pts = [p for cyc in cycles for p in cyc]
-    if len(pts) != len(set(pts)):
-        raise ValueError("cycles are not disjoint")
-    w = max(pts) + 1 if pts else 0
+    cycles = _checked_runs(cycles)
+    w = max(map(max, cycles), default=-1) + 1
     return WindowPerm(perm.close_cycles(range(w), cycles))
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import perm
-from .dyadic import DyadicMPT, DyadicSet, format_fraction
+from .dyadic import DyadicMPT, DyadicSet, _checked_level, format_fraction
 from .errors import (
     CertificateError,
     MismatchedSpace,
@@ -93,7 +93,7 @@ class StepFn:
     def __post_init__(self):
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
-        if len(vals) != 2 ** self.level:
+        if len(vals) != 2 ** _checked_level(self.level):
             raise ValueError(
                 f"need {2 ** self.level} values at level {self.level}"
             )

@@ -1,9 +1,13 @@
 """Property suites: the library's exit criteria as runnable experiments.
 
-Each suite runs a seeded corpus through one cluster of guarantees and
-returns a :class:`SuiteResult` with exact rational evidence.  The pytest
-acceptance module and the command-line ``verify`` command both execute
-these; tolerances are pinned here and nowhere else.
+Each criterion is declared once, by :func:`criterion` on the generator
+that is its body: its number, which is also its default seed, its name,
+description, runtime budget, full corpus size and smallest scaled size.
+The body draws a seeded corpus through one cluster of guarantees and
+yields one verdict per check; calling the declared :class:`Criterion`
+times it and returns a :class:`SuiteResult` with exact rational evidence.
+The pytest acceptance module and the command-line ``verify`` command both
+run :data:`CRITERIA`; tolerances are pinned here and nowhere else.
 
 The scenarios of criteria 06 and 08 are case builders (``synthesis_case``,
 ``neighborhood_case``, ``constant_fiber_case``) that draw from the caller's
@@ -14,8 +18,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator
 
 from .corpus import (
     equilateral_space,
@@ -56,30 +61,84 @@ from .tilde import (
     lu_estimate,
     lu_exact_discrete,
     tilde_act,
-    tilde_identity,
 )
 
 F = Fraction
 
 
-@dataclass
-class SuiteResult:
-    suite_id: str
+@dataclass(frozen=True)
+class Criterion:
+    """One acceptance criterion: its declaration and its body.
+
+    ``body(rng, size, seed)`` draws from ``rng``, seeded with ``seed``,
+    and yields one verdict per check; a call runs it at a seed and a
+    corpus size, by default the criterion's number and its full size.
+    """
+
+    number: int
+    name: str
     description: str
-    passed: bool
+    budget_seconds: int
+    size: int | None  # full corpus size; None for a fixed corpus
+    min_size: int  # smallest scaled size
+    body: Callable[[random.Random, int | None, int], Iterator[bool]]
+
+    def __call__(self, seed: int | None = None, size: int | None = None) -> SuiteResult:
+        seed = self.number if seed is None else seed
+        size = self.size if size is None else size
+        start = time.perf_counter()
+        checks = failures = 0
+        for ok in self.body(random.Random(seed), size, seed):
+            checks += 1
+            failures += not ok
+        return SuiteResult(self, checks, failures, time.perf_counter() - start)
+
+    def scaled_size(self, scale: Fraction) -> int | None:
+        """``int(size * scale)``, exactly for a rational scale, but at
+        least ``min_size``."""
+        if self.size is None:
+            return None
+        return int(self.size * scale) or self.min_size
+
+
+@dataclass(frozen=True)
+class SuiteResult:
+    criterion: Criterion
     checks: int
     failures: int
-    details: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-    budget_seconds: float = 0.0
+    elapsed: float
+
+    @property
+    def passed(self) -> bool:
+        # a suite that checked nothing proves nothing, so it fails
+        return self.failures == 0 and self.checks > 0
 
     def line(self) -> str:
+        c = self.criterion
         status = "PASS" if self.passed else "FAIL"
         return (
-            f"{status} {self.suite_id}: {self.description} "
+            f"{status} {c.name}: {c.description} "
             f"[{self.checks} checks, {self.failures} failures, "
-            f"{self.elapsed:.2f}s / {self.budget_seconds:.0f}s]"
+            f"{self.elapsed:.2f}s / {c.budget_seconds}s]"
         )
+
+
+# every declared criterion, in order of number
+CRITERIA: list[Criterion] = []
+
+
+def criterion(number, name, description, budget_seconds, size=None, min_size=1):
+    """Declare the decorated body as criterion ``number``, the next one."""
+
+    def declare(body) -> Criterion:
+        if number != len(CRITERIA) + 1:
+            raise ValueError(f"criterion {number} is not the next number")
+        CRITERIA.append(
+            Criterion(number, name, description, budget_seconds, size, min_size, body)
+        )
+        return CRITERIA[-1]
+
+    return declare
 
 
 @dataclass(frozen=True)
@@ -91,28 +150,18 @@ class Case:
     ok: bool
 
 
-def _finish(result: SuiteResult, start: float) -> SuiteResult:
-    result.elapsed = time.perf_counter() - start
-    # a suite that checked nothing proves nothing, so it fails
-    result.passed = result.passed and result.failures == 0 and result.checks > 0
-    return result
-
-
 # ---------------------------------------------------------------------------
-# 1. metric axioms and uniform refinement
+# metric axioms and uniform refinement
 # ---------------------------------------------------------------------------
 
-def suite_metric_axioms(seed: int = 1, triples: int = 500) -> SuiteResult:
-    start = time.perf_counter()
-    rng = random.Random(seed)
-    res = SuiteResult(
-        "metric-axioms",
-        "integral metrics satisfy the metric axioms and dhat <= dhat_u",
-        True,
-        0,
-        0,
-        budget_seconds=10.0,
-    )
+@criterion(
+    1,
+    "metric-axioms",
+    "integral metrics satisfy the metric axioms and dhat <= dhat_u",
+    budget_seconds=10,
+    size=500,
+)
+def suite_metric_axioms(rng, triples, seed):
     for _ in range(triples):
         level = rng.randrange(0, 9)
         window = rng.randrange(2, 17)
@@ -131,28 +180,22 @@ def suite_metric_axioms(seed: int = 1, triples: int = 500) -> SuiteResult:
             )
             if metric is perm_dp and not f.same_function(g):
                 ok = ok and dfg > 0
-            res.checks += 1
-            res.failures += not ok
-        res.checks += 1
-        res.failures += not dhat(f, g, perm_dp) <= dhat(f, g, perm_du)
-    return _finish(res, start)
+            yield ok
+        yield dhat(f, g, perm_dp) <= dhat(f, g, perm_du)
 
 
 # ---------------------------------------------------------------------------
-# 2. lower semicontinuity
+# lower semicontinuity
 # ---------------------------------------------------------------------------
 
-def suite_lower_semicontinuity(seed: int = 2, sequences: int = 100) -> SuiteResult:
-    start = time.perf_counter()
-    rng = random.Random(seed)
-    res = SuiteResult(
-        "lower-semicontinuity",
-        "uniform integral metric is lower semicontinuous along probes",
-        True,
-        0,
-        0,
-        budget_seconds=10.0,
-    )
+@criterion(
+    2,
+    "lower-semicontinuity",
+    "uniform integral metric is lower semicontinuous along probes",
+    budget_seconds=10,
+    size=100,
+)
+def suite_lower_semicontinuity(rng, sequences, seed):
     fresh = parse_cycles("(60 61)")
     for _ in range(sequences):
         level = rng.randrange(3, 6)
@@ -165,28 +208,23 @@ def suite_lower_semicontinuity(seed: int = 2, sequences: int = 100) -> SuiteResu
                 vals[i] = fresh
             seq.append(StepFn(level, tuple(vals)))
         rep = lsc_probe(f, h, seq, perm_dp, perm_du)
-        res.checks += 1
-        res.failures += not (rep.holds and rep.corrected_holds)
-    return _finish(res, start)
+        yield rep.holds and rep.corrected_holds
 
 
 # ---------------------------------------------------------------------------
-# 3. exact discrete uniform metric
+# exact discrete uniform metric
 # ---------------------------------------------------------------------------
 
-def suite_discrete_uniform_metric(seed: int = 3, pairs: int = 200) -> SuiteResult:
-    start = time.perf_counter()
-    rng = random.Random(seed)
-    res = SuiteResult(
-        "discrete-uniform-metric",
-        "moving-set formula, witness family within 1/64, samples below",
-        True,
-        0,
-        0,
-        budget_seconds=60.0,
-    )
+@criterion(
+    3,
+    "discrete-uniform-metric",
+    "moving-set formula, witness family within 1/64, samples below",
+    budget_seconds=60,
+    size=200,
+)
+def suite_discrete_uniform_metric(rng, pairs, seed):
     gap = F(1, 64)
-    for i in range(pairs):
+    for _ in range(pairs):
         level = rng.choice((6, 6, 7))
         a = rand_tilde_perm(rng, level, 8)
         b = rand_tilde_perm(rng, level, 8)
@@ -197,39 +235,29 @@ def suite_discrete_uniform_metric(seed: int = 3, pairs: int = 200) -> SuiteResul
             for j in range(2 ** c.f.level)
             if not c.f.values[j].is_identity() or c.t.refine(c.f.level).perm[j] != j
         )
-        res.checks += 1
-        res.failures += not exact == F(union, 2 ** c.f.level)
+        yield exact == F(union, 2 ** c.f.level)
         est = lu_estimate(a, b)
-        res.checks += 1
-        res.failures += not (exact - gap <= est.value <= exact)
+        yield exact - gap <= est.value <= exact
         for _ in range(3):
             alpha = rand_step_nat(rng, level, 70)
-            d = dhat(tilde_act(a, alpha), tilde_act(b, alpha), nat_discrete)
-            res.checks += 1
-            res.failures += not d <= exact
-    res.details["witness_gap_allowed"] = "1/64"
-    return _finish(res, start)
+            yield dhat(tilde_act(a, alpha), tilde_act(b, alpha), nat_discrete) <= exact
 
 
 # ---------------------------------------------------------------------------
-# 4. sandwich bounds over a three-point space
+# sandwich bounds over a three-point space
 # ---------------------------------------------------------------------------
 
-def suite_sandwich_bounds(seed: int = 4, pairs: int = 200) -> SuiteResult:
-    start = time.perf_counter()
-    rng = random.Random(seed)
+@criterion(
+    4,
+    "sandwich-bounds",
+    "lower <= estimate <= upper, with max/sum product bounds, r = 1",
+    budget_seconds=60,
+    size=200,
+)
+def suite_sandwich_bounds(rng, pairs, seed):
     space = equilateral_space(3)
     group = isometry_group(space)
-    ident = tilde_identity(group[0], 0)
     du = lambda x, y: max(space.d(x(p), y(p)) for p in space.points)
-    res = SuiteResult(
-        "sandwich-bounds",
-        "lower <= estimate <= upper, with max/sum product bounds, r = 1",
-        True,
-        0,
-        0,
-        budget_seconds=60.0,
-    )
     for i in range(pairs):
         level = rng.randrange(2, 5)
         a = TildeElement(rand_step_isometry(rng, level, group), rand_mpt(rng, level))
@@ -240,47 +268,37 @@ def suite_sandwich_bounds(seed: int = 4, pairs: int = 200) -> SuiteResult:
         e_fn = StepFn.constant(group[0], c.f.level)
         fiber_mass = dhat(c.f, e_fn, du)
         aut_mass = c.aut_support().measure
-        ok = (
+        yield (
             bounds.lower <= est.value <= bounds.upper
             and bounds.alt_lower == F(1, 8) * max(aut_mass, fiber_mass)
             and bounds.alt_lower <= bounds.lower
             and bounds.upper <= fiber_mass + aut_mass
             and bounds.anchor_distance == 1
         )
-        res.checks += 1
-        res.failures += not ok
-    return _finish(res, start)
 
 
 # ---------------------------------------------------------------------------
-# 5. periodic approximation
+# periodic approximation
 # ---------------------------------------------------------------------------
 
-def suite_periodic_approximation(seed: int = 5) -> SuiteResult:
-    start = time.perf_counter()
-    rng = random.Random(seed)
-    res = SuiteResult(
-        "periodic-approximation",
-        "full cycles at levels 8-12: distance <= 1/height, exact cycles",
-        True,
-        0,
-        0,
-        budget_seconds=5.0,
-    )
+@criterion(
+    5,
+    "periodic-approximation",
+    "full cycles at levels 8-12: distance <= 1/height, exact cycles",
+    budget_seconds=5,
+)
+def suite_periodic_approximation(rng, size, seed):
     for level in range(8, 13):
         cycle = rand_full_cycle(rng, level) if level <= 10 else DyadicMPT.shift(level)
         for height in (4, 8, 16, 32):
             pa = periodic_approximation(cycle, height, F(0))
-            ok = pa.distance <= F(1, height) and all(
+            yield pa.distance <= F(1, height) and all(
                 len(c) == height for c in pa.s0.cycles(include_fixed=True)
             )
-            res.checks += 1
-            res.failures += not ok
-    return _finish(res, start)
 
 
 # ---------------------------------------------------------------------------
-# 6. window-target conjugator synthesis
+# window-target conjugator synthesis
 # ---------------------------------------------------------------------------
 
 def synthesis_case(rng, level, height, k, window, eps=None) -> Case:
@@ -297,41 +315,33 @@ def synthesis_case(rng, level, height, k, window, eps=None) -> Case:
     return Case(out, eps, out.all_ok() and out.agreement >= 1 - eps)
 
 
-def suite_synthesis(seed: int = 6, tasks: int = 50) -> SuiteResult:
-    start = time.perf_counter()
-    rng = random.Random(seed)
-    res = SuiteResult(
-        "conjugator-synthesis",
-        "step condition at every tower interval, loop condition per column",
-        True,
-        0,
-        0,
-        budget_seconds=120.0,
-    )
+@criterion(
+    6,
+    "conjugator-synthesis",
+    "step condition at every tower interval, loop condition per column",
+    budget_seconds=120,
+    size=50,
+)
+def suite_synthesis(rng, tasks, seed):
     for _ in range(tasks):
         height = rng.choice((8, 8, 16))
         k = rng.randrange(4, 9)
         level = rng.choice((9, 9, 10))
-        res.checks += 1
-        res.failures += not synthesis_case(rng, level, height, k, 8).ok
-    return _finish(res, start)
+        yield synthesis_case(rng, level, height, k, 8).ok
 
 
 # ---------------------------------------------------------------------------
-# 7. metric-group synthesis over the interval-map base group
+# metric-group synthesis over the interval-map base group
 # ---------------------------------------------------------------------------
 
-def suite_metric_synthesis(seed: int = 7, tasks: int = 20) -> SuiteResult:
-    start = time.perf_counter()
-    rng = random.Random(seed)
-    res = SuiteResult(
-        "metric-synthesis",
-        "deviation <= 1/8 at every tower point, interval-map base group",
-        True,
-        0,
-        0,
-        budget_seconds=120.0,
-    )
+@criterion(
+    7,
+    "metric-synthesis",
+    "deviation <= 1/8 at every tower point, interval-map base group",
+    budget_seconds=120,
+    size=20,
+)
+def suite_metric_synthesis(rng, tasks, seed):
     eps_g = F(1, 8)
     for _ in range(tasks):
         sigma = rand_full_cycle(rng, 8)
@@ -341,14 +351,11 @@ def suite_metric_synthesis(seed: int = 7, tasks: int = 20) -> SuiteResult:
             sigma=sigma, s=s, h=h, eps_g=eps_g, eps=F(1, 4), height=8
         )
         out = synthesize_conjugator_metric(task)
-        ok = out.all_ok() and out.max_deviation() <= eps_g
-        res.checks += 1
-        res.failures += not ok
-    return _finish(res, start)
+        yield out.all_ok() and out.max_deviation() <= eps_g
 
 
 # ---------------------------------------------------------------------------
-# 8. density: conjugation into neighborhoods
+# density: conjugation into neighborhoods
 # ---------------------------------------------------------------------------
 
 DENSITY_EPS = F(1, 16)
@@ -394,67 +401,54 @@ def constant_fiber_case(rng, eps=DENSITY_EPS) -> Case:
     return Case(out, eps, out.certified and out.lu_value < eps)
 
 
-def suite_density(seed: int = 8, targets: int = 50) -> SuiteResult:
-    start = time.perf_counter()
-    rng = random.Random(seed)
-    res = SuiteResult(
-        "density",
-        "exact neighborhood membership and certified constant conjugation",
-        True,
-        0,
-        0,
-        budget_seconds=60.0,
-    )
+@criterion(
+    8,
+    "density",
+    "exact neighborhood membership and certified constant conjugation",
+    budget_seconds=60,
+    size=50,
+    min_size=2,
+)
+def suite_density(rng, targets, seed):
     for case in [neighborhood_case] * targets + [constant_fiber_case] * (targets // 2):
-        res.checks += 1
-        res.failures += not case(rng).ok
-    return _finish(res, start)
+        yield case(rng).ok
 
 
 # ---------------------------------------------------------------------------
-# 9. power invariants
+# power invariants
 # ---------------------------------------------------------------------------
 
-def suite_power_invariants(seed: int = 9, automorphisms: int = 100) -> SuiteResult:
-    start = time.perf_counter()
-    rng = random.Random(seed)
-    res = SuiteResult(
-        "power-invariants",
-        "cycle-power rule vs direct power; orbital reports stable under powers",
-        True,
-        0,
-        0,
-        budget_seconds=30.0,
-    )
+@criterion(
+    9,
+    "power-invariants",
+    "cycle-power rule vs direct power; orbital reports stable under powers",
+    budget_seconds=30,
+    size=100,
+)
+def suite_power_invariants(rng, automorphisms, seed):
     corpus = [rand_window_perm(rng, w) for w in range(2, 65, 2)]
     corpus += [generic_surrogate(6, 2).realized, cycle_pack({5: 3, 12: 2})]
     for p in corpus:
         for n in range(1, 13):
-            res.checks += 1
-            res.failures += not power_invariance_check(p, n).ok()
+            yield power_invariance_check(p, n).ok()
     for _ in range(automorphisms):
         g = rand_pl(rng, max_breaks=6)
         for n in range(2, 6):
-            res.checks += 1
-            res.failures += not power_invariance_check(g, n).ok()
-    return _finish(res, start)
+            yield power_invariance_check(g, n).ok()
 
 
 # ---------------------------------------------------------------------------
-# 10. group laws and bi-invariance
+# group laws and bi-invariance
 # ---------------------------------------------------------------------------
 
-def suite_group_laws(seed: int = 10, tuples: int = 300) -> SuiteResult:
-    start = time.perf_counter()
-    rng = random.Random(seed)
-    res = SuiteResult(
-        "group-laws",
-        "action identity, isometry, and bi-invariance of the uniform metric",
-        True,
-        0,
-        0,
-        budget_seconds=30.0,
-    )
+@criterion(
+    10,
+    "group-laws",
+    "action identity, isometry, and bi-invariance of the uniform metric",
+    budget_seconds=30,
+    size=300,
+)
+def suite_group_laws(rng, tuples, seed):
     for _ in range(tuples):
         level = rng.randrange(2, 5)
         a = rand_tilde_perm(rng, level, 6)
@@ -469,40 +463,10 @@ def suite_group_laws(seed: int = 10, tuples: int = 300) -> SuiteResult:
             tilde_act(a, alpha), tilde_act(a, beta), nat_discrete
         ) == dhat(alpha, beta, nat_discrete)
         ok = ok and lu_exact_discrete(c * a * d, c * b * d) == lu_exact_discrete(a, b)
-        res.checks += 1
-        res.failures += not ok
-    return _finish(res, start)
+        yield ok
 
 
-ALL_SUITES = (
-    suite_metric_axioms,
-    suite_lower_semicontinuity,
-    suite_discrete_uniform_metric,
-    suite_sandwich_bounds,
-    suite_periodic_approximation,
-    suite_synthesis,
-    suite_metric_synthesis,
-    suite_density,
-    suite_power_invariants,
-    suite_group_laws,
-)
-
-
-def run_all(seed_base: int = 0, scale: Fraction | float = 1):
-    """Run every suite; ``scale`` < 1 shrinks corpus sizes for quick runs."""
-    sizes = {
-        suite_metric_axioms: dict(triples=int(500 * scale) or 1),
-        suite_lower_semicontinuity: dict(sequences=int(100 * scale) or 1),
-        suite_discrete_uniform_metric: dict(pairs=int(200 * scale) or 1),
-        suite_sandwich_bounds: dict(pairs=int(200 * scale) or 1),
-        suite_periodic_approximation: dict(),
-        suite_synthesis: dict(tasks=int(50 * scale) or 1),
-        suite_metric_synthesis: dict(tasks=int(20 * scale) or 1),
-        suite_density: dict(targets=int(50 * scale) or 2),
-        suite_power_invariants: dict(automorphisms=int(100 * scale) or 1),
-        suite_group_laws: dict(tuples=int(300 * scale) or 1),
-    }
-    out = []
-    for i, suite in enumerate(ALL_SUITES, 1):
-        out.append(suite(seed=seed_base + i, **sizes[suite]))
-    return out
+def run_all(seed_base: int = 0, scale: Fraction = F(1)) -> list[SuiteResult]:
+    """Run every criterion at seed ``seed_base + number`` and its size
+    scaled by ``scale`` (see :meth:`Criterion.scaled_size`)."""
+    return [c(seed_base + c.number, c.scaled_size(scale)) for c in CRITERIA]

@@ -534,7 +534,6 @@ class LuEstimate:
     value: Fraction
     lower: Fraction
     upper: Fraction
-    witnesses_tried: int
 
     def consistent(self) -> bool:
         return self.lower <= self.value <= self.upper
@@ -574,12 +573,7 @@ def lu_estimate(
         moved = tilde_act(c, alpha)
         best = max(best, dhat(moved, alpha, metric))
     bounds = lu_bounds(a, b)
-    est = LuEstimate(
-        value=best,
-        lower=bounds.lower,
-        upper=bounds.upper,
-        witnesses_tried=len(witnesses),
-    )
+    est = LuEstimate(value=best, lower=bounds.lower, upper=bounds.upper)
     if not est.consistent():
         raise CertificateError("witness estimate outside the sandwich bounds")
     return est

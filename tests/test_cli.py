@@ -5,9 +5,11 @@ import hashlib
 import io
 import json
 import random
+from fractions import Fraction as F
 
 import pytest
 
+from randlab import suites
 from randlab.cli import config_digest, main, parse_config, run_command
 from randlab.dyadic import MAX_LEVEL
 from randlab.errors import ConfigError
@@ -117,6 +119,28 @@ def test_verify_small_scale():
     status, rep = run_command("verify", {"scale": "0.02", "seed": "1"})
     assert status == 0
     assert rep.count("true") == 10
+
+
+def test_verify_scales_sizes_exactly(monkeypatch):
+    # in floats 100 * 0.29 truncates to 28; the rational scale keeps all 29
+    assert [c.scaled_size(F(29, 100)) for c in suites.CRITERIA] == [
+        145, 29, 58, 58, None, 14, 5, 14, 29, 87
+    ]
+    assert [c.scaled_size(F(1, 1000)) for c in suites.CRITERIA] == [
+        1, 1, 1, 1, None, 1, 1, 2, 1, 1
+    ]
+    # the float-truncated criteria, through the verify command
+    hit = [c for c in suites.CRITERIA if c.number in (2, 3, 4, 9)]
+    monkeypatch.setattr(suites, "CRITERIA", hit)
+    status, rep = run_command("verify", {"scale": "29/100", "seed": "1"})
+    assert status == 0
+    rows = list(csv.reader(io.StringIO(rep)))[1:]
+    assert [(r[0], r[3]) for r in rows] == [
+        ("verify-lower-semicontinuity", "29"),
+        ("verify-discrete-uniform-metric", "290"),  # 5 checks per pair
+        ("verify-sandwich-bounds", "58"),
+        ("verify-power-invariants", "524"),  # 408 fixed + 4 per automorphism
+    ]
 
 
 def test_main_entry_and_exit_codes(tmp_path, capsys):
@@ -241,7 +265,7 @@ def test_levels_past_the_bound_exit_2(tmp_path, capsys, command, text):
 
 
 def test_suite_with_zero_checks_fails():
-    result = suite_metric_axioms(triples=0)
+    result = suite_metric_axioms(size=0)
     assert result.checks == result.failures == 0
     assert not result.passed
 

@@ -62,9 +62,16 @@ def test_nbhd_parse_errors():
         parse_nbhd("nbhd pointwise {\n  test step 0 [1]\n}")
 
 
-@pytest.mark.parametrize("text", ["step 1 [(0 1)]", "step -1 [()]"])
+# a negative level is rejected as such, not as a count of 0.5 values
+STEP_LEVEL_ERRORS = {
+    "step 1 [(0 1)]": "need 2 values at level 1",
+    "step -1 [()]": "level -1 is not a nonnegative int",
+}
+
+
+@pytest.mark.parametrize("text", STEP_LEVEL_ERRORS)
 def test_step_value_count_must_match_level(text):
-    with pytest.raises(ParseError, match="values at level"):
+    with pytest.raises(ParseError, match=STEP_LEVEL_ERRORS[text]):
         parse_step(text)
 
 

@@ -17,7 +17,7 @@ from randlab import perm
 from randlab.corpus import equilateral_space
 from randlab.dyadic import DyadicMPT, DyadicSet, parse_mpt, parse_set
 from randlab.errors import CertificateError, NotAnIndex, ParseError, RandlabError
-from randlab.groups import E, WindowPerm, parse_cycles
+from randlab.groups import E, WindowPerm, from_cycles, parse_cycles
 from randlab.spaces import SpaceIsometry, isometry_group, metric_space
 from randlab.stepfn import StepFn, constant_generic_conjugator
 from randlab.synthesis import _transformation_factor
@@ -167,6 +167,15 @@ NOT_INTS = {
     "set-negative-level": lambda: DyadicSet(-1, frozenset()),
     "set-bool-level": lambda: DyadicSet(True, frozenset()),
     "set-float-member": lambda: DyadicSet(1, frozenset({1.0})),
+    "cycles-float-points": lambda: from_cycles([[0.0, 1.0]]),
+    "cycles-bool-points": lambda: from_cycles([[True, 2]]),
+    "cycles-negative-point": lambda: from_cycles([[1, -1]]),
+    "mpt-cycles-float-points": lambda: DyadicMPT.from_cycles(2, [[0.0, 1.0]]),
+    "mpt-cycles-negative-point": lambda: DyadicMPT.from_cycles(2, [[3, -1]]),
+    "mpt-cycles-negative-level": lambda: DyadicMPT.from_cycles(-1, []),
+    "step-bool-level": lambda: StepFn(True, (1, 2)),
+    "step-float-level": lambda: StepFn(1.0, (1, 2)),
+    "step-negative-level": lambda: StepFn(-1, ()),
 }
 
 
@@ -178,6 +187,26 @@ def test_constructors_reject_what_is_not_an_int(build):
         build()
     assert isinstance(info.value, ValueError)
     assert isinstance(info.value, RandlabError)
+
+
+BAD_CYCLES = {
+    "mpt-point-past-the-level": (
+        lambda: DyadicMPT.from_cycles(2, [[5, 1]]),
+        r"out of range\(4\)",
+    ),
+    "mpt-overlapping-runs": (
+        lambda: DyadicMPT.from_cycles(2, [[0, 1], [1, 2]]),
+        "not disjoint",
+    ),
+    "empty-run": (lambda: from_cycles([[]]), "empty cycle"),
+}
+
+
+@pytest.mark.parametrize("build,message", BAD_CYCLES.values(), ids=BAD_CYCLES.keys())
+def test_from_cycles_names_what_is_wrong_with_the_points(build, message):
+    # the points are checked before perm.close_cycles indexes with them
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_mpt_errors_name_the_level():
