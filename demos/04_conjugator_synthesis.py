@@ -17,15 +17,12 @@ from randlab import (
     ProductNbhd,
     StepFn,
     SynthesisTask,
-    TildeElement,
     approx_conjugate_constant,
     conjugate_into_neighborhood,
     cycle_pack,
-    diagonal_experiment,
     synthesize_conjugator,
 )
 from randlab.dyadic import DyadicSet
-from randlab.groups import from_cycles
 from randlab.corpus import rand_aperiodic_mpt, rand_cycle_type, rand_step_perm, rand_window_perm
 from randlab.synthesis import format_synthesis_result
 
@@ -67,33 +64,3 @@ t1 = rand_cycle_type(rng, 9, [64] * 8)
 t2 = rand_cycle_type(rng, 9, [64] * 8)
 const = approx_conjugate_constant(h_elem, t1, t2, F(1, 16))
 print("constant-fiber distance:", const.lu_value, "certified:", const.certified)
-
-# %% Diagonal matching: two coordinates over a shared transformation with
-# disjoint windows are solved by one conjugator.
-
-t_shared = rand_cycle_type(rng, 7, [16] * 8)
-t_c = rand_cycle_type(rng, 7, [16] * 8)
-
-
-def translated(p, offset):
-    """Copy of ``p`` moved up by ``offset``, onto a disjoint window."""
-    return from_cycles([[x + offset for x in c] for c in p.cycles()])
-
-
-def coordinate(offset):
-    g = translated(cycle_pack({16 * j: 1 for j in range(1, 5)}), offset)
-    values = tuple(
-        g.conj(translated(rand_window_perm(rng, 6), offset)) for _ in range(4)
-    )
-    tgt = ProductNbhd(
-        center_f=StepFn(2, values),
-        center_t=t_c,
-        value_conditions=((offset, F(1, 16)),),
-        set_conditions=((DyadicSet(1, frozenset({0})), F(1, 8)),),
-    )
-    return TildeElement(StepFn.constant(g, 0), t_shared), tgt
-
-
-sources, targets = zip(coordinate(0), coordinate(300))
-report = diagonal_experiment(list(sources), list(targets))
-print("diagonal success:", report.success, "|", report.note)

@@ -51,7 +51,6 @@ from .synthesis import (
     SynthesisTask,
     approx_conjugate_constant,
     conjugate_into_neighborhood,
-    diagonal_experiment,
     synthesize_conjugator,
     synthesize_conjugator_metric,
     tower_product,

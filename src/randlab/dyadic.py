@@ -534,8 +534,9 @@ def mpt_conjugate_match(t: DyadicMPT, s: DyadicMPT, eps: Fraction) -> ConjugacyM
         raise ValueError("eps must be positive")
     m = max(t.level, s.level)
     t, s = t.refine(m), s.refine(m)
-    if t.cycle_census() == s.cycle_census():
-        r = _exact_conjugator(t, s)
+    exact = perm.conjugator(t.perm, s.perm)  # None: the cycle types differ
+    if exact is not None:
+        r = DyadicMPT(t.level, exact)
         achieved = delta_u(t.conj(r), s)
         if achieved != 0:
             raise CertificateError("exact conjugator misses")
@@ -575,6 +576,15 @@ def mpt_conjugate_match(t: DyadicMPT, s: DyadicMPT, eps: Fraction) -> ConjugacyM
 def format_fraction(x: Fraction) -> str:
     """Exact text form ``p/q`` of a rational, also for integers."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def parse_fraction(text: str) -> Fraction:
+    """The rational written as ``text``; a malformed text or a zero
+    denominator raises :class:`ParseError`."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad rational: {text!r}") from None
 
 
 def _check_level(level: int) -> None:

@@ -80,10 +80,6 @@ class OracleFailure(RandlabError):
         self.component = component
 
 
-class SimultaneousMatchUnsupported(RandlabError):
-    """Diagonal matching was requested outside the implemented cases."""
-
-
 class CertificateError(RandlabError):
     """A postcondition checked by direct evaluation does not hold."""
 

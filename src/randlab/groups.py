@@ -19,15 +19,17 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from . import perm
-from .dyadic import DyadicMPT, _checked_runs, format_fraction
+from .dyadic import DyadicMPT, _checked_runs, format_fraction, parse_fraction
 from .errors import CertificateError, InsufficientCycles, NotAnIndex, NotInjective, ParseError
 
 # ---------------------------------------------------------------------------
 # Window permutations
 # ---------------------------------------------------------------------------
 
-# Largest window a sampled experiment accepts: over 8x the largest window
-# any acceptance criterion or benchmark workload uses (480).
+# Largest window read from input: a config's window key is at most
+# MAX_WINDOW, and every point written in cycle notation lies below it.
+# That is over 8x the largest window any acceptance criterion or benchmark
+# workload uses (480).
 MAX_WINDOW = 4096
 
 
@@ -150,12 +152,14 @@ def parse_cycles(text: str) -> WindowPerm:
     if not re.fullmatch(r"(\(\s*\d+(?:[ ,]+\d+)*\s*\))+", text):
         raise ParseError(f"bad cycle notation: {text!r}")
     cycles = []
-    for group in re.findall(r"\(([^()]*)\)", text):
-        pts = [int(t) for t in re.split(r"[ ,]+", group.strip()) if t]
-        cycles.append(pts)
     try:
+        for group in re.findall(r"\(([^()]*)\)", text):
+            pts = [int(t) for t in re.split(r"[ ,]+", group.strip()) if t]
+            if max(pts) >= MAX_WINDOW:
+                raise ParseError(f"cycle point {max(pts)} outside 0..{MAX_WINDOW - 1}")
+            cycles.append(pts)
         return from_cycles(cycles)
-    except ValueError as exc:
+    except ValueError as exc:  # also a point too long for int() to read
         raise ParseError(str(exc)) from None
 
 
@@ -291,7 +295,6 @@ def match_partial(
     sigma: WindowPerm,
     n: int,
     target: Mapping[int, int],
-    fresh_start: int | None = None,
 ) -> WindowPerm:
     """Find ``rho`` with ``rho**-1 * sigma**n * rho`` realizing ``target``.
 
@@ -301,8 +304,8 @@ def match_partial(
     onto an unused cycle of length at least s+1 (so the chain end keeps a
     fresh image).  The lowest-index unused cycle is always preferred, and
     unconstrained points are completed in increasing order, so the result
-    is canonical.  Identity constraints may also land on fixed points past
-    the window, allocated from ``fresh_start`` upward.
+    is canonical.  Identity constraints may also land on fresh fixed
+    points, allocated upward from the end of the window of ``sigma**n``.
     """
     power = sigma ** n
     cycles, chains = _components(target)
@@ -312,10 +315,7 @@ def match_partial(
         p for p in range(power.window) if power(p) == p
     )
     fixed_iter = iter(in_window_fixed)
-    fresh = max(
-        power.window,
-        fresh_start if fresh_start is not None else power.window,
-    )
+    fresh = power.window
     assignments: dict[int, int] = {}
 
     def take_fixed() -> int:
@@ -677,9 +677,9 @@ def parse_pl(text: str) -> PLOrderAut:
         if not m:
             raise ParseError(f"bad piece: {chunk!r}")
         a, c, b = m.group(1), m.group(2), m.group(3)
-        pieces.append((Fraction(a), Fraction(c)))
+        pieces.append((parse_fraction(a), parse_fraction(c)))
         if b is not None:
-            breaks.append(Fraction(b))
+            breaks.append(parse_fraction(b))
         elif i != len(chunks) - 1:
             raise ParseError("only the last piece may omit its bound")
     try:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import perm
-from .dyadic import DyadicMPT, DyadicSet, _checked_level, format_fraction
+from .dyadic import DyadicMPT, DyadicSet, _checked_level, format_fraction, parse_fraction
 from .errors import (
     CertificateError,
     MismatchedSpace,
@@ -335,7 +335,7 @@ def parse_value(text: str):
     if text.startswith("("):
         return parse_cycles(text)
     if "/" in text:
-        return Fraction(text)
+        return parse_fraction(text)
     try:
         return int(text)
     except ValueError:

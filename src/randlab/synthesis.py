@@ -42,6 +42,7 @@ from .dyadic import (
     format_fraction,
     format_mpt,
     mpt_conjugate_match,
+    parse_fraction,
     parse_mpt,
     periodic_approximation,
 )
@@ -52,7 +53,6 @@ from .errors import (
     OracleFailure,
     ParseError,
     RandlabError,
-    SimultaneousMatchUnsupported,
 )
 from .groups import E, WindowPerm, cycle_pack, format_cycles, match_partial, parse_cycles
 from .stepfn import StepFn, format_step, parse_step, value_kind
@@ -61,7 +61,6 @@ from .tilde import (
     TildeElement,
     lu_bounds,
     lu_exact_discrete,
-    tilde_identity,
 )
 
 ZERO = Fraction(0)
@@ -210,11 +209,13 @@ def parse_synthesis_task(text: str) -> SynthesisTask:
             s=parse_mpt(fields["s"]),
             h=parse_step(fields["h"]),
             k=int(fields["k"]),
-            eps=Fraction(fields["eps"]),
+            eps=parse_fraction(fields["eps"]),
             height=int(fields["height"]) if "height" in fields else None,
         )
     except KeyError as exc:
         raise ParseError(f"synthesis block missing field {exc}") from None
+    except ValueError as exc:  # a k or height that is not an integer
+        raise ParseError(f"synthesis block: {exc}") from None
 
 
 def format_synthesis_result(result: SynthesisResult) -> str:
@@ -255,7 +256,6 @@ def _solve_column_window(
     sigma: WindowPerm,
     h_values: Sequence[WindowPerm],
     domain: Sequence[int],
-    fresh_start: int | None = None,
 ) -> list[WindowPerm]:
     """Solve one column: anchor at the top, extend downward exactly.
 
@@ -266,7 +266,7 @@ def _solve_column_window(
     length = len(h_values)
     loop_target = _column_product(h_values)
     target = {n: loop_target(n) for n in domain}
-    gamma = match_partial(sigma, length, target, fresh_start=fresh_start)
+    gamma = match_partial(sigma, length, target)
     gs: list[WindowPerm | None] = [None] * length
     gs[length - 1] = gamma
     sigma_inv = sigma.inverse()
@@ -506,84 +506,6 @@ class ConjugationOutcome:
     aut_residuals: tuple
 
 
-def _marked(target: ProductNbhd) -> list[int]:
-    return [p for p, _ in target.value_conditions]
-
-
-def _transformation_factor(
-    t: DyadicMPT, targets: Sequence[ProductNbhd]
-) -> tuple[DyadicMPT, DyadicMPT]:
-    """Interval-map conjugator ``Q`` for the transformation factor.
-
-    ``Q`` is the identity when no target has a set condition, else a match
-    of ``t`` onto the (shared) transformation center at half the tightest
-    set-condition bound.  Returns ``Q`` with ``Q**-1 T Q`` refined to the
-    finest fiber-center level.
-    """
-    bounds = [b for tgt in targets for _, b in tgt.set_conditions]
-    if bounds:
-        try:
-            q = mpt_conjugate_match(t, targets[0].center_t, min(bounds) / 2).r
-        except CertificateError:
-            raise  # a failed postcondition is a fault, not a missed match
-        except RandlabError as exc:
-            raise OracleFailure(
-                f"transformation factor: {exc}", component="aut"
-            ) from exc
-    else:
-        q = DyadicMPT.identity(t.level)
-    r_prime = t.conj(q)
-    level = max(r_prime.level, *(tgt.center_f.level for tgt in targets))
-    return q, r_prime.refine(level)
-
-
-def _fiber(
-    g_base: WindowPerm,
-    r_fine: DyadicMPT,
-    center_f: StepFn,
-    marked: Sequence[int],
-    fresh_start: int | None = None,
-) -> StepFn:
-    """Fiber ``k`` solving the step condition along each cycle of ``r_fine``,
-    so the conjugated constant fiber ``g_base`` agrees with ``center_f`` at
-    every marked point."""
-    level = r_fine.level
-    if not marked:
-        return StepFn.constant(E, level)
-    center = center_f.refine(level)
-    try:
-        return _scatter(
-            level,
-            r_fine.cycles(include_fixed=True),
-            lambda cyc: _solve_column_window(
-                g_base, [center.values[i] for i in cyc], marked, fresh_start
-            ),
-        )
-    except InsufficientCycles as exc:
-        raise OracleFailure(f"fiber factor: {exc}", component="fiber") from exc
-
-
-def _conjugator(q: DyadicMPT, k: StepFn) -> TildeElement:
-    """The conjugator ``(C_e, Q) * (k, id)``."""
-    return TildeElement(StepFn.constant(E, q.level), q) * TildeElement(
-        k, DyadicMPT.identity(k.level)
-    )
-
-
-def _outcome(
-    source: TildeElement, target: ProductNbhd, conjugator: TildeElement
-) -> ConjugationOutcome:
-    """Conjugate ``source`` and check the result against ``target`` exactly."""
-    conjugated = source.conj(conjugator)
-    return ConjugationOutcome(
-        conjugator=conjugator,
-        conjugated=conjugated,
-        member=target.contains(conjugated),
-        fiber_residuals=tuple(target.fiber_residuals(conjugated.f)),
-        aut_residuals=tuple(target.aut_residuals(conjugated.t)),
-    )
-
-
 def conjugate_into_neighborhood(
     g_base: WindowPerm, t_generic: DyadicMPT, target: ProductNbhd
 ) -> ConjugationOutcome:
@@ -593,12 +515,56 @@ def conjugate_into_neighborhood(
     factor (the constant fiber is blind to it), then a fiber ``k`` solves
     the step condition along each cycle of the conjugated map so the
     conjugated fiber agrees with the target's fiber center at every marked
-    point.  Membership is checked exactly on the result.
+    point.  The conjugator is ``(C_e, Q) * (k, id)``, and membership is
+    checked exactly on the result.
+
+    ``Q`` is the identity when the target has no set condition, else a
+    match of ``T`` onto the transformation center at half the tightest
+    set-condition bound.  A failed match raises :class:`OracleFailure`
+    naming its component, ``"aut"`` or ``"fiber"``.
     """
-    q, r_fine = _transformation_factor(t_generic, [target])
-    k = _fiber(g_base, r_fine, target.center_f, _marked(target))
-    source = TildeElement(StepFn.constant(g_base, 0), t_generic)
-    return _outcome(source, target, _conjugator(q, k))
+    bounds = [b for _, b in target.set_conditions]
+    if bounds:
+        try:
+            q = mpt_conjugate_match(t_generic, target.center_t, min(bounds) / 2).r
+        except CertificateError:
+            raise  # a failed postcondition is a fault, not a missed match
+        except RandlabError as exc:
+            raise OracleFailure(
+                f"transformation factor: {exc}", component="aut"
+            ) from exc
+    else:
+        q = DyadicMPT.identity(t_generic.level)
+    r_prime = t_generic.conj(q)
+    level = max(r_prime.level, target.center_f.level)
+
+    marked = [p for p, _ in target.value_conditions]
+    if marked:
+        center = target.center_f.refine(level)
+        try:
+            k = _scatter(
+                level,
+                r_prime.refine(level).cycles(include_fixed=True),
+                lambda cyc: _solve_column_window(
+                    g_base, [center.values[i] for i in cyc], marked
+                ),
+            )
+        except InsufficientCycles as exc:
+            raise OracleFailure(f"fiber factor: {exc}", component="fiber") from exc
+    else:
+        k = StepFn.constant(E, level)
+
+    conjugator = TildeElement(StepFn.constant(E, q.level), q) * TildeElement(
+        k, DyadicMPT.identity(level)
+    )
+    conjugated = TildeElement(StepFn.constant(g_base, 0), t_generic).conj(conjugator)
+    return ConjugationOutcome(
+        conjugator=conjugator,
+        conjugated=conjugated,
+        member=target.contains(conjugated),
+        fiber_residuals=tuple(target.fiber_residuals(conjugated.f)),
+        aut_residuals=tuple(target.aut_residuals(conjugated.t)),
+    )
 
 
 @dataclass(frozen=True)
@@ -637,110 +603,3 @@ def approx_conjugate_constant(
         lu_value=value,
         certified=value < eps,
     )
-
-
-# ---------------------------------------------------------------------------
-# Diagonal (simultaneous) conjugation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiagonalReport:
-    success: bool
-    conjugator: TildeElement | None
-    per_coordinate: tuple  # (member, fiber_residuals, aut_residuals)
-    note: str = ""
-
-
-def _window_footprint(g: WindowPerm, center_f: StepFn, marked) -> set[int]:
-    pts: set[int] = set(g.support())
-    for v in center_f.values:
-        pts |= set(v.support())
-    pts |= set(marked)
-    return pts
-
-
-def _constant_window_value(source: TildeElement, message: str) -> WindowPerm:
-    values = source.f.values
-    if len(set(values)) != 1 or not isinstance(values[0], WindowPerm):
-        raise SimultaneousMatchUnsupported(message)
-    return values[0]
-
-
-def diagonal_experiment(
-    sources: Sequence[TildeElement],
-    targets: Sequence[ProductNbhd],
-) -> DiagonalReport:
-    """One conjugator moving every coordinate into its target.
-
-    Supported cases: a single coordinate; targets already containing the
-    sources; constant window-permutation fibers over a shared
-    transformation with pairwise disjoint window footprints.  Anything else
-    raises :class:`SimultaneousMatchUnsupported`, reporting honestly rather
-    than guessing.  A failed matching step raises :class:`OracleFailure`
-    naming its component, ``"aut"`` or ``"fiber"``.
-    """
-    if len(sources) != len(targets):
-        raise ValueError("need one target per source")
-    if not sources:
-        raise ValueError("empty tuple")
-
-    def evaluate(conjugator: TildeElement, note: str) -> DiagonalReport:
-        outs = [_outcome(src, tgt, conjugator) for src, tgt in zip(sources, targets)]
-        return DiagonalReport(
-            success=all(o.member for o in outs),
-            conjugator=conjugator,
-            per_coordinate=tuple(
-                (o.member, o.fiber_residuals, o.aut_residuals) for o in outs
-            ),
-            note=note,
-        )
-
-    level = max(max(s.f.level, s.t.level) for s in sources)
-    v0 = sources[0].f.values[0]
-    identity = tilde_identity(value_kind(v0).identity(v0), level)
-    trivial = evaluate(identity, "targets already contain the sources")
-    if trivial.success:
-        return trivial
-
-    if len(sources) == 1:
-        g = _constant_window_value(
-            sources[0], "single-coordinate case needs a constant window-permutation fiber"
-        )
-        q, r_fine = _transformation_factor(sources[0].t, targets)
-        k = _fiber(g, r_fine, targets[0].center_f, _marked(targets[0]))
-        return evaluate(_conjugator(q, k), "reduced to a single conjugation")
-
-    # simultaneous case: shared transformation, disjoint window footprints
-    t_shared = sources[0].t
-    if not all(s.t.same_map(t_shared) for s in sources):
-        raise SimultaneousMatchUnsupported(
-            "simultaneous matching implemented only for a shared transformation"
-        )
-    if not all(t.center_t.same_map(targets[0].center_t) for t in targets):
-        raise SimultaneousMatchUnsupported(
-            "targets must share one transformation center"
-        )
-    gs = [
-        _constant_window_value(s, "coordinates must be constant window-permutation fibers")
-        for s in sources
-    ]
-    footprints = [
-        _window_footprint(g, t.center_f, _marked(t)) for g, t in zip(gs, targets)
-    ]
-    for i in range(len(footprints)):
-        for j in range(i + 1, len(footprints)):
-            if footprints[i] & footprints[j]:
-                raise SimultaneousMatchUnsupported(
-                    f"coordinate windows {i} and {j} overlap"
-                )
-    # one transformation conjugator for all coordinates, then one fiber per
-    # coordinate, each drawing fresh points above everything used before it
-    q, r_fine = _transformation_factor(t_shared, targets)
-    combined: list[WindowPerm] = [E] * 2 ** r_fine.level
-    reserve = max((max(fp) + 1 for fp in footprints if fp), default=0)
-    for g, tgt in zip(gs, targets):
-        k = _fiber(g, r_fine, tgt.center_f, _marked(tgt), fresh_start=reserve)
-        reserve = max([reserve] + [max(v.support(), default=-1) + 1 for v in k.values])
-        combined = [a * b for a, b in zip(k.values, combined)]
-    k_fn = StepFn(r_fine.level, tuple(combined))
-    return evaluate(_conjugator(q, k_fn), "disjoint-window simultaneous matching")

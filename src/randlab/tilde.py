@@ -25,6 +25,7 @@ from .dyadic import (
     format_fraction,
     format_mpt,
     format_set,
+    parse_fraction,
     parse_mpt,
     parse_set,
 )
@@ -639,7 +640,7 @@ def parse_nbhd(text: str) -> PointwiseNbhd | ProductNbhd:
         radius_part = radius_part.strip()
         if not radius_part.startswith("radius "):
             raise ParseError(f"missing radius in {ln!r}")
-        radius = Fraction(radius_part[len("radius "):].strip())
+        radius = parse_fraction(radius_part[len("radius "):].strip())
         body = body.strip()
         if body.startswith("test "):
             tests.append((parse_step(body[len("test "):]), radius))

@@ -264,6 +264,21 @@ def test_levels_past_the_bound_exit_2(tmp_path, capsys, command, text):
     assert str(MAX_LEVEL) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        ("metrics", "a = tilde { step 0 [1/0] ; mpt 0 0 }\n"
+                    "b = tilde { step 0 [()] ; mpt 0 0 }\n", "bad rational"),
+        ("power", f"perm = (0 {MAX_WINDOW})\n", str(MAX_WINDOW - 1)),
+    ],
+    ids=["zero-denominator", "point-past-window"],
+)
+def test_bad_literals_exit_2(tmp_path, capsys, command, text, message):
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main([command, "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_suite_with_zero_checks_fails():
     result = suite_metric_axioms(size=0)
     assert result.checks == result.failures == 0

@@ -11,6 +11,7 @@ from randlab.dyadic import DyadicMPT
 from randlab.errors import InsufficientCycles, NotInjective, ParseError
 from randlab.groups import (
     E,
+    MAX_WINDOW,
     PLOrderAut,
     WindowPerm,
     cycle_pack,
@@ -147,6 +148,12 @@ def test_cycle_notation_round_trip():
         parse_cycles("(0 1")
     with pytest.raises(ParseError):
         parse_cycles("(0 0)")
+
+
+def test_cycle_points_stay_below_max_window():
+    assert parse_cycles(f"(0 {MAX_WINDOW - 1})").window == MAX_WINDOW
+    with pytest.raises(ParseError, match=str(MAX_WINDOW - 1)):
+        parse_cycles(f"(0 {MAX_WINDOW})")
 
 
 # -- order automorphisms -----------------------------------------------------

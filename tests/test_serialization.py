@@ -8,7 +8,8 @@ import pytest
 from randlab.corpus import rand_step_nat, rand_tilde_perm, rand_window_perm
 from randlab.dyadic import DyadicSet
 from randlab.errors import ParseError
-from randlab.stepfn import StepFn, parse_step
+from randlab.groups import parse_pl
+from randlab.stepfn import StepFn, parse_step, parse_value
 from randlab.synthesis import (
     SynthesisTask,
     format_synthesis_result,
@@ -73,6 +74,31 @@ STEP_LEVEL_ERRORS = {
 def test_step_value_count_must_match_level(text):
     with pytest.raises(ParseError, match=STEP_LEVEL_ERRORS[text]):
         parse_step(text)
+
+
+NBHD_HEAD = "nbhd product {\n  center tilde { step 0 [()] ; mpt 0 0 }\n"
+TASK_HEAD = "synthesis {\n  sigma auto\n  s mpt 1 1 0\n  h step 0 [()]\n"
+
+# a zero denominator or a non-number is a parse error, never a raw
+# ZeroDivisionError or ValueError
+BAD_NUMBERS = {
+    "value-zero-denominator": (parse_value, "1/0"),
+    "value-not-a-number": (parse_value, "x/2"),
+    "pl-zero-denominator": (parse_pl, "piece 1/0 0"),
+    "radius-not-a-number": (parse_nbhd, NBHD_HEAD + "  value 0 ; radius x\n}"),
+    "radius-zero-denominator": (parse_nbhd, NBHD_HEAD + "  value 0 ; radius 1/0\n}"),
+    "task-k-not-a-number": (parse_synthesis_task, TASK_HEAD + "  k x\n  eps 1/4\n}"),
+    "task-eps-zero-denominator": (
+        parse_synthesis_task, TASK_HEAD + "  k 2\n  eps 1/0\n}"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NUMBERS)
+def test_bad_numbers_are_parse_errors(case):
+    parse, text = BAD_NUMBERS[case]
+    with pytest.raises(ParseError):
+        parse(text)
 
 
 def test_synthesis_task_round_trip():

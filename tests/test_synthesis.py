@@ -1,5 +1,4 @@
-"""Tests for conjugator synthesis, density constructions, and diagonal
-matching."""
+"""Tests for conjugator synthesis and the density constructions."""
 
 import random
 from fractions import Fraction as F
@@ -19,7 +18,6 @@ from randlab.errors import (
     InsufficientCycles,
     NotExactTower,
     OracleFailure,
-    SimultaneousMatchUnsupported,
 )
 from randlab.groups import (
     E,
@@ -34,7 +32,6 @@ from randlab.synthesis import (
     SynthesisTask,
     approx_conjugate_constant,
     conjugate_into_neighborhood,
-    diagonal_experiment,
     mpt_power_oracle,
     nearest_of_cycle_type,
     column_intervals,
@@ -43,12 +40,7 @@ from randlab.synthesis import (
     synthesize_conjugator_metric,
     tower_product,
 )
-from randlab.tilde import ProductNbhd, TildeElement, lu_exact_discrete, tilde_identity
-
-
-def translated(p, offset):
-    """Copy of ``p`` moved up by ``offset``: ``n + offset -> p(n) + offset``."""
-    return from_cycles([[x + offset for x in c] for c in p.cycles()])
+from randlab.tilde import ProductNbhd
 
 
 # -- tower products ------------------------------------------------------------
@@ -370,88 +362,6 @@ def test_approx_conjugate_constant_different_profiles():
     assert res.conjugator.f.same_function(StepFn.constant(E))
 
 
-# -- diagonal -----------------------------------------------------------------
-
-def test_diagonal_single_coordinate_reduces():
-    rng = random.Random(47)
-    g = cycle_pack({16 * j: 1 for j in range(1, 4)})
-    t_gen = rand_cycle_type(rng, 7, [16] * 8)
-    t_c = rand_cycle_type(rng, 7, [16] * 8)
-    target = ProductNbhd(
-        center_f=StepFn.constant(g, 0),
-        center_t=t_c,
-        value_conditions=((0, F(1, 8)),),
-        set_conditions=((DyadicSet(1, frozenset({1})), F(1, 8)),),
-    )
-    src = TildeElement(StepFn.constant(g, 0), t_gen)
-    rep = diagonal_experiment([src], [target])
-    assert rep.success
-
-
-def test_diagonal_centered_targets_identity():
-    rng = random.Random(53)
-    g1 = cycle_pack({8: 1})
-    g2 = translated(cycle_pack({8: 1}), 50)
-    t = rand_cycle_type(rng, 6, [16] * 4)
-    sources = [
-        TildeElement(StepFn.constant(g1, 0), t),
-        TildeElement(StepFn.constant(g2, 0), t),
-    ]
-    targets = [
-        ProductNbhd(
-            center_f=s.f,
-            center_t=t,
-            value_conditions=((0, F(1, 4)),),
-            set_conditions=((DyadicSet(1, frozenset({0})), F(1, 4)),),
-        )
-        for s in sources
-    ]
-    rep = diagonal_experiment(sources, targets)
-    assert rep.success
-    assert rep.note == "targets already contain the sources"
-
-
-def test_diagonal_disjoint_windows():
-    rng = random.Random(59)
-    level = 7
-    t_shared = rand_cycle_type(rng, level, [16] * 8)
-    t_center = rand_cycle_type(rng, level, [16] * 8)
-
-    def coordinate(offset):
-        g = translated(cycle_pack({16 * j: 1 for j in range(1, 5)}), offset)
-        conjs = [translated(rand_window_perm(rng, 6), offset) for _ in range(4)]
-        f_c = StepFn(2, tuple(g.conj(c) for c in conjs))
-        target = ProductNbhd(
-            center_f=f_c,
-            center_t=t_center,
-            value_conditions=((offset, F(1, 16)), (offset + 1, F(1, 16))),
-            set_conditions=((DyadicSet(1, frozenset({0})), F(1, 8)),),
-        )
-        return TildeElement(StepFn.constant(g, 0), t_shared), target
-
-    s1, t1 = coordinate(0)
-    s2, t2 = coordinate(250)
-    rep = diagonal_experiment([s1, s2], [t1, t2])
-    assert rep.success
-    assert all(c[0] for c in rep.per_coordinate)
-
-
-def test_diagonal_overlapping_windows_unsupported():
-    rng = random.Random(61)
-    level = 6
-    t_shared = rand_cycle_type(rng, level, [16] * 4)
-    g = cycle_pack({16: 1, 32: 1})
-    src = TildeElement(StepFn.constant(g, 0), t_shared)
-    target = ProductNbhd(
-        center_f=StepFn.constant(g.conj(rand_window_perm(rng, 5)), 0),
-        center_t=rand_cycle_type(rng, level, [16] * 4),
-        value_conditions=((0, F(1, 16)),),
-        set_conditions=(),
-    )
-    with pytest.raises(SimultaneousMatchUnsupported):
-        diagonal_experiment([src, src], [target, target])
-
-
 # -- sigma budget: the counting lemma -------------------------------------------
 
 @pytest.mark.parametrize("height", [1, 2, 4, 8, 16, 32])
@@ -514,43 +424,35 @@ def test_metric_task_default_height_needs_positive_eps(eps):
 
 # -- failures name the step that failed ----------------------------------------
 
-def _two_coordinates(rng, t_shared, t_center, base, set_bound):
-    pairs = []
-    for offset in (0, 100):
-        g = translated(base, offset)
-        conjs = [translated(rand_window_perm(rng, 6), offset) for _ in range(4)]
-        target = ProductNbhd(
-            center_f=StepFn(2, tuple(g.conj(c) for c in conjs)),
-            center_t=t_center,
-            value_conditions=((offset, F(1, 16)),),
-            set_conditions=((DyadicSet(1, frozenset({0})), set_bound),),
-        )
-        pairs.append((TildeElement(StepFn.constant(g, 0), t_shared), target))
-    return [p[0] for p in pairs], [p[1] for p in pairs]
+def _window_target(rng, t_center, g, set_bound):
+    conjs = [rand_window_perm(rng, 6) for _ in range(4)]
+    return ProductNbhd(
+        center_f=StepFn(2, tuple(g.conj(c) for c in conjs)),
+        center_t=t_center,
+        value_conditions=((0, F(1, 16)),),
+        set_conditions=((DyadicSet(1, frozenset({0})), set_bound),),
+    )
 
 
-def test_diagonal_fiber_shortfall_is_oracle_failure():
+def test_neighborhood_fiber_shortfall_is_oracle_failure():
     # an 8-cycle's 16th power is the identity: no spare cycles for the fiber
     rng = random.Random(3)
     t = rand_cycle_type(rng, 6, [16] * 4)
-    sources, targets = _two_coordinates(
-        rng, t, rand_cycle_type(rng, 6, [16] * 4), cycle_pack({8: 1}), F(1, 8)
-    )
+    g = cycle_pack({8: 1})
+    target = _window_target(rng, rand_cycle_type(rng, 6, [16] * 4), g, F(1, 8))
     with pytest.raises(OracleFailure) as info:
-        diagonal_experiment(sources, targets)
+        conjugate_into_neighborhood(g, t, target)
     assert info.value.component == "fiber"
 
 
-def test_diagonal_unmatched_transformation_is_oracle_failure():
+def test_neighborhood_unmatched_transformation_is_oracle_failure():
     # a full cycle is far from every map made of 2-cycles
     rng = random.Random(5)
     t = rand_full_cycle(rng, 6)
-    base = cycle_pack({16 * j: 1 for j in range(1, 4)})
-    sources, targets = _two_coordinates(
-        rng, t, rand_cycle_type(rng, 6, [2] * 32), base, F(1, 1024)
-    )
+    g = cycle_pack({16 * j: 1 for j in range(1, 4)})
+    target = _window_target(rng, rand_cycle_type(rng, 6, [2] * 32), g, F(1, 1024))
     with pytest.raises(OracleFailure) as info:
-        diagonal_experiment(sources, targets)
+        conjugate_into_neighborhood(g, t, target)
     assert info.value.component == "aut"
 
 

@@ -17,9 +17,9 @@ from randlab.corpus import (
     rand_tilde_perm,
 )
 from randlab.dyadic import DyadicMPT, DyadicSet, delta_u
-from randlab.errors import MismatchedSpace, NotDiscrete
+from randlab.errors import DegenerateSpace, MismatchedSpace, NotDiscrete
 from randlab.groups import E, WindowPerm, parse_cycles, perm_du
-from randlab.spaces import isometry_group, space_identity
+from randlab.spaces import discrete_space, isometry_group, space_identity
 from randlab.stepfn import StepFn, dhat
 from randlab.tilde import (
     PointwiseNbhd,
@@ -287,6 +287,20 @@ def test_nbhd_pointwise_to_product_empty_set():
     )
     out = verify_pointwise_to_product(cert, center)
     assert out["set_displacement"] == 0 and out["set_ok"]
+
+
+def test_nbhd_pointwise_to_product_needs_separated_points():
+    rng = random.Random(53)
+    center = rand_tilde_perm(rng, 2, 4)
+    with pytest.raises(DegenerateSpace):
+        nbhd_pointwise_to_product(
+            center, DyadicSet.empty(2), rand_step_nat(rng, 2, 3), F(1, 4), 1, 1
+        )
+
+
+def test_one_point_space_has_no_diameter_pair():
+    with pytest.raises(DegenerateSpace):
+        discrete_space(1).diameter_pair()
 
 
 def test_serialization_round_trip():

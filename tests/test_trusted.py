@@ -20,7 +20,7 @@ from randlab.errors import CertificateError, NotAnIndex, ParseError, RandlabErro
 from randlab.groups import E, WindowPerm, from_cycles, parse_cycles
 from randlab.spaces import SpaceIsometry, isometry_group, metric_space
 from randlab.stepfn import StepFn, constant_generic_conjugator
-from randlab.synthesis import _transformation_factor
+from randlab.synthesis import conjugate_into_neighborhood
 from randlab.tilde import ProductNbhd
 
 small = settings(max_examples=60, derandomize=True, deadline=None)
@@ -241,4 +241,4 @@ def test_transformation_factor_lets_certificate_errors_through(monkeypatch):
         set_conditions=((DyadicSet(2, frozenset({0})), F(1, 2)),),
     )
     with pytest.raises(CertificateError):
-        _transformation_factor(DyadicMPT.shift(2, 1), [target])
+        conjugate_into_neighborhood(E, DyadicMPT.shift(2, 1), target)
