@@ -33,7 +33,6 @@ from .dyadic import (
     format_fraction,
     parse_mpt,
     periodic_approximation,
-    rokhlin_tower,
 )
 from .errors import ConfigError, RandlabError
 from .groups import MAX_WINDOW, parse_cycles, perm_dp, perm_du, power_invariance_check
@@ -46,7 +45,6 @@ from .suites import (
     synthesis_case,
 )
 from .tilde import (
-    lu_bounds,
     lu_estimate,
     lu_exact_discrete,
     parse_tilde,
@@ -161,7 +159,6 @@ def cmd_metrics(cfg):
     budget = _int(cfg, "pointwise_budget", 24, lo=1)
     for i, a, b in pairs:
         exact = lu_exact_discrete(a, b)
-        bounds = lu_bounds(a, b)
         est = lu_estimate(a, b)
         rows.append(
             {
@@ -173,10 +170,10 @@ def cmd_metrics(cfg):
                 "delta_w": fmt(delta_w(a.t, b.t)),
                 "pointwise": fmt(pointwise_metric(a, b, budget=budget)),
                 "lu_exact": fmt(exact),
-                "lu_lower": fmt(bounds.lower),
-                "lu_upper": fmt(bounds.upper),
+                "lu_lower": fmt(est.lower),
+                "lu_upper": fmt(est.upper),
                 "lu_estimate": fmt(est.value),
-                "pass": bounds.lower <= est.value <= exact <= bounds.upper,
+                "pass": est.lower <= est.value <= exact <= est.upper,
             }
         )
     return rows
@@ -187,7 +184,6 @@ def cmd_tower(cfg):
     t = _mpt_from_config(cfg, "mpt", rng)
     height = _int(cfg, "height", lo=1)
     bound = _frac(cfg, "bound", "1")
-    tower = rokhlin_tower(t, height, bound)
     pa = periodic_approximation(t, height, bound)
     ok = (
         pa.distance <= bound + F(1, height)
@@ -199,8 +195,8 @@ def cmd_tower(cfg):
             "id": 0,
             "level": t.level,
             "height": height,
-            "columns": len(tower.base.members),
-            "leftover": fmt(tower.leftover.measure),
+            "columns": len(pa.tower.columns),
+            "leftover": fmt(pa.tower.leftover.measure),
             "distance": fmt(pa.distance),
             "distance_bound": fmt(bound + F(1, height)),
             "pass": ok,
@@ -225,7 +221,7 @@ def cmd_synthesize(cfg):
             {
                 "id": i,
                 "kind": "summary",
-                "columns": len(out.tower.base.members),
+                "columns": len(out.tower.columns),
                 "agreement": fmt(out.agreement),
                 "agreement_bound": fmt(1 - case.eps),
                 "certificates": len(out.certificates),

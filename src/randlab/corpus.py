@@ -99,8 +99,9 @@ def rand_step_points(
     )
 
 
-def rand_pl(rng: random.Random, max_breaks: int = 6, span: int = 8) -> PLOrderAut:
-    """Seeded order automorphism with up to ``max_breaks`` breakpoints."""
+def rand_pl(rng: random.Random, max_breaks: int = 6) -> PLOrderAut:
+    """Seeded order automorphism with up to ``max_breaks`` breakpoints in [-8, 8]."""
+    span = 8
     count = rng.randrange(max_breaks + 1)
     breaks = sorted(
         rng.sample(

@@ -318,55 +318,49 @@ def delta_u_prime_bruteforce(t: DyadicMPT, r: DyadicMPT) -> Fraction:
 
 @dataclass(frozen=True)
 class TowerData:
-    """A tower for a transformation: base, translated levels, leftover.
+    """A tower for a transformation, stored as its columns, and a leftover.
 
-    ``periodic_map`` follows the transformation below the top level of each
-    column, sends column tops back to their bases, and permutes the leftover
-    in index-order groups of ``height``.  When the leftover count is not a
-    multiple of the height the remainder is left fixed and
-    ``periodic_exact`` is False (the map still has period dividing
-    ``height`` everywhere it was regrouped).
+    Each column is ``(b, T b, ..., T**(height-1) b)`` for a base interval
+    ``b``, and the columns are sorted by base.  ``periodic_map`` follows
+    the transformation up each column, sends column tops back to their
+    bases, and permutes the leftover in index-order groups of ``height``.
+    When the leftover count is not a multiple of the height the remainder
+    is left fixed and ``periodic_exact`` is False (the map still has period
+    dividing ``height`` everywhere it was regrouped).
     """
 
-    base: DyadicSet
+    columns: tuple[tuple[int, ...], ...]
     height: int
-    levels: tuple[DyadicSet, ...]
+    level: int
     leftover: DyadicSet
     periodic_map: DyadicMPT
     periodic_exact: bool
     requested_bound: Fraction
 
     @property
-    def level(self) -> int:
-        return self.base.level
+    def base(self) -> DyadicSet:
+        return DyadicSet._of(self.level, frozenset(c[0] for c in self.columns))
 
     def covered(self) -> DyadicSet:
-        out = DyadicSet.empty(self.level)
-        for lv in self.levels:
-            out = out.union(lv)
-        return out
+        return DyadicSet._of(self.level, frozenset(p for c in self.columns for p in c))
 
     def validate(self, t: DyadicMPT) -> None:
         """Enumeration checks of every tower postcondition; raises on failure."""
-        n = 2 ** self.level
-        tt = t.refine(self.level)
-        if len(self.levels) != self.height:
+        image = t.refine(self.level).perm
+        if any(len(c) != self.height for c in self.columns):
             raise CertificateError("tower has the wrong number of levels")
-        # levels are successive images of the base
-        current = self.base
-        for lv in self.levels:
-            if lv.members != current.members:
+        # level k+1 of the tower is T applied to level k, column by column
+        levels = list(zip(*self.columns))
+        for below, above in zip(levels, levels[1:]):
+            if [image[i] for i in below] != list(above):
                 raise CertificateError("levels must be T^k(base)")
-            current = tt.image(current)
         # pairwise disjoint, and together with leftover partition [0,1)
-        union: set[int] = set()
-        for lv in self.levels:
-            if union & lv.members:
-                raise CertificateError("tower levels overlap")
-            union |= lv.members
-        if union & self.leftover.members:
+        covered = {p for c in self.columns for p in c}
+        if len(covered) != len(self.columns) * self.height:
+            raise CertificateError("tower levels overlap")
+        if covered & self.leftover.members:
             raise CertificateError("leftover meets the tower")
-        if len(union) + len(self.leftover.members) != n:
+        if covered | self.leftover.members != set(range(2 ** self.level)):
             raise CertificateError("coverage gap")
         if self.leftover.measure > self.requested_bound:
             raise CertificateError("leftover exceeds the requested bound")
@@ -380,14 +374,21 @@ class TowerData:
             raise CertificateError("periodic approximation too far")
 
 
+def _blocks(points: Iterable[int], height: int) -> list[tuple[int, ...]]:
+    """The points in index order, cut into full runs of ``height``; a
+    shorter remainder is dropped."""
+    rest = tuple(sorted(points))
+    return [rest[k:k + height] for k in range(0, len(rest) - height + 1, height)]
+
+
 def rokhlin_tower(t: DyadicMPT, height: int, bound: Fraction) -> TowerData:
     """Build a tower of the given height with leftover measure <= ``bound``.
 
-    The base marks every ``height``-th interval along each cycle, stopping
-    before wraparound, so a cycle of length L contributes ``L mod height``
-    leftover intervals.  Raises :class:`NotAperiodic` when some cycle is
-    shorter than ``height`` and :class:`TowerTooCoarse` when the achievable
-    leftover exceeds ``bound``.
+    Each cycle is cut into columns of ``height`` consecutive intervals,
+    stopping before wraparound, so a cycle of length L contributes ``L mod
+    height`` leftover intervals.  Raises :class:`NotAperiodic` when some
+    cycle is shorter than ``height`` and :class:`TowerTooCoarse` when the
+    achievable leftover exceeds ``bound``.
     """
     if height < 1:
         raise ValueError("height must be positive")
@@ -399,33 +400,26 @@ def rokhlin_tower(t: DyadicMPT, height: int, bound: Fraction) -> TowerData:
             f"cycle of length {len(short[0])} < height {height} at interval {short[0][0]}"
         )
     n = 2 ** t.level
-    segments: list[list[int]] = []
-    leftover: set[int] = set()
+    columns: list[tuple[int, ...]] = []
+    leftover: list[int] = []
     for cyc in cycles:
         full = (len(cyc) // height) * height
-        segments.extend(cyc[start:start + height] for start in range(0, full, height))
-        leftover.update(cyc[full:])
+        columns.extend(tuple(cyc[start:start + height]) for start in range(0, full, height))
+        leftover.extend(cyc[full:])
     leftover_measure = Fraction(len(leftover), n)
     if leftover_measure > bound:
         raise TowerTooCoarse(
             f"achievable leftover {leftover_measure} exceeds bound {bound}"
         )
     # group the leftover into height-cycles in index order
-    rest = sorted(leftover)
-    exact = len(rest) % height == 0
-    blocks = [rest[k:k + height] for k in range(0, len(rest) - height + 1, height)]
-    s0 = DyadicMPT(t.level, perm.close_cycles(range(n), segments + blocks))
-    base_set = DyadicSet(t.level, frozenset(seg[0] for seg in segments))
-    levels = [base_set]
-    for _ in range(height - 1):
-        levels.append(t.image(levels[-1]))
+    s0 = DyadicMPT(t.level, perm.close_cycles(range(n), columns + _blocks(leftover, height)))
     tower = TowerData(
-        base=base_set,
+        columns=tuple(sorted(columns)),
         height=height,
-        levels=tuple(levels),
+        level=t.level,
         leftover=DyadicSet(t.level, frozenset(leftover)),
         periodic_map=s0,
-        periodic_exact=exact,
+        periodic_exact=len(leftover) % height == 0,
         requested_bound=bound,
     )
     tower.validate(t)
@@ -450,8 +444,10 @@ def periodic_approximation(
 
     The approximation follows ``t`` except on column tops (sent back to
     their bases) and on the leftover (regrouped in index order), with
-    ``delta_u(t, s0) <= bound + 1/height`` checked exactly.  An extended
-    base gives a tower for ``s0`` covering all of [0,1).
+    ``delta_u(t, s0) <= bound + 1/height`` checked exactly when the tower
+    is validated.  Its cycles are the columns of the tower for ``t`` and
+    the regrouped leftover blocks, which together are the columns of a
+    tower for ``s0`` covering all of [0,1).
 
     Only heights dividing the interval count admit exact period maps: the
     leftover count is congruent to ``2**level`` mod ``height``, so a height
@@ -471,31 +467,19 @@ def periodic_approximation(
     if not tower.periodic_exact:  # count is 2**level mod height == 0
         raise CertificateError("leftover not regrouped into exact cycles")
     s0 = tower.periodic_map
-    # extend the base to one interval per s0-cycle: original bases plus the
-    # first interval of each regrouped leftover block
-    extended = set(tower.base.members)
-    rest = sorted(tower.leftover.members)
-    for k in range(0, len(rest), height):
-        extended.add(rest[k])
-    e0 = DyadicSet(level, frozenset(extended))
-    levels = [e0]
-    for _ in range(height - 1):
-        levels.append(s0.image(levels[-1]))
+    blocks = _blocks(tower.leftover.members, height)
     exact_tower = TowerData(
-        base=e0,
+        columns=tuple(sorted(tower.columns + tuple(blocks))),
         height=height,
-        levels=tuple(levels),
-        leftover=DyadicSet(level, frozenset()),
+        level=level,
+        leftover=DyadicSet.empty(level),
         periodic_map=s0,
         periodic_exact=True,
         requested_bound=ZERO,
     )
     exact_tower.validate(s0)
-    dist = delta_u(tt, s0)
-    if dist > Fraction(bound) + Fraction(1, height):
-        raise CertificateError("periodic approximation too far")
     return PeriodicApproximation(
-        s0=s0, height=height, tower=tower, exact_tower=exact_tower, distance=dist
+        s0=s0, height=height, tower=tower, exact_tower=exact_tower, distance=delta_u(tt, s0)
     )
 
 

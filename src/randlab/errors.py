@@ -6,13 +6,7 @@ class RandlabError(Exception):
 
 
 class ParseError(RandlabError):
-    """Malformed textual serialization (carries a position when known)."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Malformed textual serialization."""
 
 
 class NotAnIndex(RandlabError, ValueError):
@@ -34,6 +28,10 @@ class TowerTooCoarse(RandlabError):
 
 class LeftoverIndivisible(RandlabError):
     """The leftover interval count cannot be grouped into exact cycles."""
+
+
+class WindowTooWide(RandlabError):
+    """A window permutation would need more than ``MAX_WINDOW`` points."""
 
 
 class NotExactTower(RandlabError):

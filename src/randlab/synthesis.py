@@ -53,8 +53,11 @@ from .errors import (
     OracleFailure,
     ParseError,
     RandlabError,
+    WindowTooWide,
 )
-from .groups import E, WindowPerm, cycle_pack, format_cycles, match_partial, parse_cycles
+from .groups import (
+    MAX_WINDOW, E, WindowPerm, cycle_pack, format_cycles, match_partial, parse_cycles
+)
 from .stepfn import StepFn, format_step, parse_step, value_kind
 from .tilde import (
     ProductNbhd,
@@ -101,10 +104,10 @@ def _tower_setup(
     """Shared prologue of both synthesis variants.
 
     Resolves the tower height (default: the smallest power of two ``N``
-    with ``2/N < eps``), builds the exact period-``N`` approximation of
-    ``task.s`` with its full-coverage tower at the level of ``task.h`` or
-    finer, and refines ``task.h`` to that level.  Returns ``(height, s0,
-    tower, h)``.
+    with ``2/N < eps``), refines ``task.s`` to the level of ``task.h`` when
+    that is finer, builds its exact period-``N`` approximation with its
+    full-coverage tower, and refines ``task.h`` to the tower's level.
+    Returns ``(height, s0, tower, h)``.
     """
     eps = Fraction(task.eps)
     height = task.height
@@ -114,12 +117,12 @@ def _tower_setup(
         height = 2
         while Fraction(2, height) >= eps:
             height *= 2
+    elif height < 1:
+        raise ValueError("height must be positive")
     leftover_budget = max(ZERO, eps - Fraction(1, height))
-    pa = periodic_approximation(task.s, height, leftover_budget)
-    level = max(pa.exact_tower.level, task.h.level)
-    if level > pa.exact_tower.level:
-        pa = periodic_approximation(task.s.refine(level), height, leftover_budget)
-    return height, pa.s0, pa.exact_tower, task.h.refine(level)
+    s = task.s.refine(max(task.s.level, task.h.level))
+    pa = periodic_approximation(s, height, leftover_budget)
+    return height, pa.s0, pa.exact_tower, task.h.refine(pa.exact_tower.level)
 
 
 def _scatter(level: int, cycles: Sequence[Sequence[int]], solve: Callable) -> StepFn:
@@ -204,7 +207,7 @@ def parse_synthesis_task(text: str) -> SynthesisTask:
         fields[key] = value.strip()
     try:
         sigma = None if fields["sigma"] == "auto" else parse_cycles(fields["sigma"])
-        return SynthesisTask(
+        task = SynthesisTask(
             sigma=sigma,
             s=parse_mpt(fields["s"]),
             h=parse_step(fields["h"]),
@@ -216,6 +219,9 @@ def parse_synthesis_task(text: str) -> SynthesisTask:
         raise ParseError(f"synthesis block missing field {exc}") from None
     except ValueError as exc:  # a k or height that is not an integer
         raise ParseError(f"synthesis block: {exc}") from None
+    if task.k < 1 or (task.height is not None and task.height < 1):
+        raise ParseError("synthesis block: k and height must be positive")
+    return task
 
 
 def format_synthesis_result(result: SynthesisResult) -> str:
@@ -224,7 +230,7 @@ def format_synthesis_result(result: SynthesisResult) -> str:
         "synthesis-result {",
         f"  level {result.g.level}",
         f"  height {result.height}",
-        f"  columns {len(result.tower.base.members)}",
+        f"  columns {len(result.tower.columns)}",
         f"  agreement {format_fraction(result.agreement)}",
         f"  certificates {ok}/{len(result.certificates)}",
         "}",
@@ -247,8 +253,16 @@ def sigma_budget(k: int, height: int) -> WindowPerm:
     ``k`` cycles of every length from 2 to ``k+2``, one for each component
     even when all of them want the same length, and
     :func:`~randlab.groups.match_partial` never runs short.
+
+    The budget has ``height * ceil(k/height) * (k+2)(k+3)/2`` points; past
+    :data:`~randlab.groups.MAX_WINDOW` it raises :class:`WindowTooWide`.
     """
     copies = -(-k // height)  # ceil
+    points = height * copies * (k + 2) * (k + 3) // 2
+    if points > MAX_WINDOW:
+        raise WindowTooWide(
+            f"sigma budget for k {k}, height {height} has {points} > {MAX_WINDOW} points"
+        )
     return cycle_pack({height * j: copies for j in range(1, k + 3)})
 
 
@@ -286,15 +300,16 @@ def synthesize_conjugator(task: SynthesisTask) -> SynthesisResult:
     step condition holds against the original map ``S`` for every point
     below the window.
     """
+    if task.k < 1:
+        raise ValueError("k must be positive")
     height, s0, tower, h = _tower_setup(task)
     domain = range(task.k)
     sigma = task.sigma if task.sigma is not None else sigma_budget(task.k, height)
     level = s0.level
     sigma_power = sigma ** height
-    columns = [column_intervals(s0, base, height) for base in sorted(tower.base.members)]
     g = _scatter(
         level,
-        columns,
+        tower.columns,
         lambda column: _solve_column_window(sigma, [h.values[i] for i in column], domain),
     )
 
@@ -302,7 +317,7 @@ def synthesize_conjugator(task: SynthesisTask) -> SynthesisResult:
     # interval, then the loop condition at every column anchor
     s0_inv = s0.inverse()
     certificates = []
-    for column in columns:
+    for column in tower.columns:
         base = column[0]
         for pos, y in enumerate(column):
             prev = s0_inv.perm[y]
@@ -455,7 +470,7 @@ def synthesize_conjugator_metric(task: MetricSynthesisTask) -> MetricSynthesisRe
     # h is refined from a coarse level, so it repeats a few distinct values
     inverse = cache(DyadicMPT.inverse)
 
-    def solve(column: list[int]) -> list:
+    def solve(column: Sequence[int]) -> list:
         h_vals = [h.values[i] for i in column]
         # reversed loop product: h(x) first in writing order, h(S0 x)
         # applied first
@@ -467,8 +482,7 @@ def synthesize_conjugator_metric(task: MetricSynthesisTask) -> MetricSynthesisRe
             gs.append(sigma * gs[-1] * inverse(h_vals[i]))
         return gs
 
-    columns = [column_intervals(s0, base, height) for base in sorted(tower.base.members)]
-    g = _scatter(level, columns, solve)
+    g = _scatter(level, tower.columns, solve)
 
     # the certificates and the agreement ask for the same pair wherever
     # S**-1 y == S0**-1 y
@@ -478,7 +492,7 @@ def synthesize_conjugator_metric(task: MetricSynthesisTask) -> MetricSynthesisRe
 
     s0_inv = s0.inverse()
     certificates = []
-    for column in columns:
+    for column in tower.columns:
         for pos, y in enumerate(column):
             dev = deviation(y, s0_inv.perm[y])
             certificates.append(("deviation", column[0], pos, dev, dev <= eps_g))

@@ -1,5 +1,6 @@
 """Tests for the dyadic measure space and its interval transformations."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -21,7 +22,13 @@ from randlab.dyadic import (
     periodic_approximation,
     rokhlin_tower,
 )
-from randlab.errors import LeftoverIndivisible, NotAperiodic, ParseError, TowerTooCoarse
+from randlab.errors import (
+    CertificateError,
+    LeftoverIndivisible,
+    NotAperiodic,
+    ParseError,
+    TowerTooCoarse,
+)
 from randlab.corpus import rand_aperiodic_mpt, rand_full_cycle, rand_mpt
 from randlab.stepfn import StepFn
 
@@ -180,6 +187,47 @@ def test_tower_postconditions_random():
         t = rand_aperiodic_mpt(rng, 6, 8)
         tower = rokhlin_tower(t, 5, F(1, 2))
         tower.validate(t)  # disjointness, coverage, measure bound
+
+
+# shift(4) at height 3: columns (0 1 2) .. (12 13 14), leftover {15}
+CORRUPTED_TOWERS = {
+    "short-column": (
+        lambda tw: {"columns": ((0, 1),) + tw.columns[1:]},
+        "wrong number of levels",
+    ),
+    "column-not-climbing": (
+        lambda tw: {"columns": ((0, 2, 1),) + tw.columns[1:]},
+        "levels must be T",
+    ),
+    "overlapping-columns": (
+        lambda tw: {"columns": ((0, 1, 2), (1, 2, 3)) + tw.columns[1:]},
+        "levels overlap",
+    ),
+    "leftover-meets-column": (
+        lambda tw: {"leftover": DyadicSet(4, frozenset({0, 15}))},
+        "leftover meets the tower",
+    ),
+    "coverage-gap": (lambda tw: {"columns": tw.columns[:-1]}, "coverage gap"),
+    "leftover-above-bound": (
+        lambda tw: {"requested_bound": F(0)},
+        "leftover exceeds the requested bound",
+    ),
+    "periodic-map-too-far": (
+        lambda tw: {"periodic_map": DyadicMPT.identity(4)},
+        "periodic approximation too far",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "corrupt,message", CORRUPTED_TOWERS.values(), ids=CORRUPTED_TOWERS.keys()
+)
+def test_validate_names_each_broken_postcondition(corrupt, message):
+    t = DyadicMPT.shift(4)
+    tower = rokhlin_tower(t, 3, F(1, 16))
+    assert tower.columns[0] == (0, 1, 2) and tower.leftover.members == {15}
+    with pytest.raises(CertificateError, match=message):
+        dataclasses.replace(tower, **corrupt(tower)).validate(t)
 
 
 def test_periodic_approximation_full_cycle():

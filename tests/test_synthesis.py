@@ -18,6 +18,8 @@ from randlab.errors import (
     InsufficientCycles,
     NotExactTower,
     OracleFailure,
+    ParseError,
+    WindowTooWide,
 )
 from randlab.groups import (
     E,
@@ -35,6 +37,7 @@ from randlab.synthesis import (
     mpt_power_oracle,
     nearest_of_cycle_type,
     column_intervals,
+    parse_synthesis_task,
     sigma_budget,
     synthesize_conjugator,
     synthesize_conjugator_metric,
@@ -390,6 +393,14 @@ def test_sigma_budget_counting_lemma_grid(height):
             assert all(conj(n) == v for n, v in target.items())
 
 
+def test_sigma_budget_window_is_bounded():
+    # height * ceil(k/height) * (k+2)(k+3)/2 points: 2,736 at k = 16 and
+    # 4,560 at k = 17, past MAX_WINDOW = 4096
+    assert sigma_budget(16, 8).window == 2736
+    with pytest.raises(WindowTooWide, match="4560 > 4096"):
+        sigma_budget(17, 8)
+
+
 def test_synthesis_short_user_sigma_raises():
     # a supplied sigma without spare cycles is not regrown
     rng = random.Random(5)
@@ -420,6 +431,37 @@ def test_metric_task_default_height_needs_positive_eps(eps):
     task = MetricSynthesisTask(sigma=sigma, s=DyadicMPT.shift(4), h=h, eps_g=F(1, 8), eps=eps)
     with pytest.raises(ValueError, match="eps must be positive"):
         synthesize_conjugator_metric(task)
+
+
+# height 0 would divide by zero in Fraction(1, height), and k = 0 would
+# certify nothing and pass
+NONPOSITIVE_TASKS = {
+    "window-height-0": lambda: synthesize_conjugator(SynthesisTask(
+        sigma=None, s=DyadicMPT.shift(4), h=StepFn.constant(E, 4), k=2,
+        eps=F(1, 2), height=0,
+    )),
+    "window-k-0": lambda: synthesize_conjugator(SynthesisTask(
+        sigma=None, s=DyadicMPT.shift(4), h=StepFn.constant(E, 4), k=0,
+        eps=F(1, 2), height=4,
+    )),
+    "metric-height-0": lambda: synthesize_conjugator_metric(MetricSynthesisTask(
+        sigma=DyadicMPT.shift(4), s=DyadicMPT.shift(4),
+        h=StepFn.constant(DyadicMPT.shift(4), 2), eps_g=F(1, 8), eps=F(1, 2), height=0,
+    )),
+}
+
+
+@pytest.mark.parametrize("run", NONPOSITIVE_TASKS.values(), ids=NONPOSITIVE_TASKS.keys())
+def test_nonpositive_height_or_k_is_refused(run):
+    with pytest.raises(ValueError, match="must be positive"):
+        run()
+
+
+@pytest.mark.parametrize("field", ["k 0\n  eps 1/4", "k 2\n  eps 1/4\n  height 0"])
+def test_parsed_task_with_nonpositive_height_or_k_is_a_parse_error(field):
+    text = "synthesis {\n  sigma auto\n  s mpt 2 1 2 3 0\n  h step 0 [()]\n  " + field + "\n}"
+    with pytest.raises(ParseError, match="must be positive"):
+        parse_synthesis_task(text)
 
 
 # -- failures name the step that failed ----------------------------------------

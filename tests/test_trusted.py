@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from randlab import perm
 from randlab.corpus import equilateral_space
-from randlab.dyadic import DyadicMPT, DyadicSet, parse_mpt, parse_set
+from randlab.dyadic import (
+    DyadicMPT,
+    DyadicSet,
+    parse_mpt,
+    parse_set,
+    periodic_approximation,
+    rokhlin_tower,
+)
 from randlab.errors import CertificateError, NotAnIndex, ParseError, RandlabError
 from randlab.groups import E, WindowPerm, from_cycles, parse_cycles
 from randlab.spaces import SpaceIsometry, isometry_group, metric_space
@@ -89,6 +96,21 @@ def test_set_operations_rebuild_through_the_constructor(a, b, finer):
 def test_image_rebuilds_through_the_constructor(t, s):
     out = revalidated_set(t.image(s))
     assert out.level == max(t.level, s.level) and out.measure == s.measure
+
+
+@pytest.mark.parametrize("height", [1, 3, 4, 5])
+def test_tower_sets_rebuild_through_the_constructor(height):
+    t = DyadicMPT.shift(4)
+    towers = [rokhlin_tower(t, height, F(1))]
+    if height == 4:
+        pa = periodic_approximation(t, height, F(1))
+        towers += [pa.tower, pa.exact_tower]
+    for tower in towers:
+        base = revalidated_set(tower.base)
+        assert sorted(base.members) == [c[0] for c in tower.columns]
+        covered = revalidated_set(tower.covered())
+        assert covered.measure == F(len(tower.columns) * height, 16)
+        assert covered.union(tower.leftover).measure == 1
 
 
 # ---------------------------------------------------------------------------
