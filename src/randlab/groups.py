@@ -15,6 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -291,6 +292,19 @@ def _components(target: Mapping[int, int]):
     return cycles, chains
 
 
+@lru_cache(maxsize=8)
+def _prepared_power(sigma: WindowPerm, n: int):
+    """``(sigma**n, its nontrivial cycles, its fixed points inside its window)``.
+
+    The cycles are sorted by least point, as :meth:`WindowPerm.cycles` gives
+    them; cycles and fixed points are tuples, so no caller can change the memo.
+    """
+    power = sigma ** n
+    pool = tuple(map(tuple, power.cycles()))
+    fixed = tuple(p for p, q in enumerate(power.images) if p == q)
+    return power, pool, fixed
+
+
 def match_partial(
     sigma: WindowPerm,
     n: int,
@@ -306,14 +320,14 @@ def match_partial(
     unconstrained points are completed in increasing order, so the result
     is canonical.  Identity constraints may also land on fresh fixed
     points, allocated upward from the end of the window of ``sigma**n``.
+
+    The power, its cycle pool and its in-window fixed points are prepared
+    once per ``(sigma, n)`` and kept in a small memo, since a synthesis task
+    matches every tower column into the same power.
     """
-    power = sigma ** n
+    power, pool, in_window_fixed = _prepared_power(sigma, n)
     cycles, chains = _components(target)
-    pool = power.cycles()  # sorted by least point already
     used = [False] * len(pool)
-    in_window_fixed = sorted(
-        p for p in range(power.window) if power(p) == p
-    )
     fixed_iter = iter(in_window_fixed)
     fresh = power.window
     assignments: dict[int, int] = {}
@@ -364,8 +378,9 @@ def match_partial(
         + [k + 1 for k in assignments]
     )
     rho = WindowPerm(perm.complete(assignments, width))
-    conj = rho.inverse() * power * rho
-    if any(conj(k) != v for k, v in target.items()):
+    # rho is a bijection, so (rho**-1 * power * rho)(k) == v exactly when
+    # power(rho(k)) == rho(v)
+    if any(power(rho(k)) != rho(v) for k, v in target.items()):
         raise CertificateError("window match postcondition failed")
     return rho
 

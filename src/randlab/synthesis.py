@@ -268,6 +268,7 @@ def sigma_budget(k: int, height: int) -> WindowPerm:
 
 def _solve_column_window(
     sigma: WindowPerm,
+    sigma_inv: WindowPerm,
     h_values: Sequence[WindowPerm],
     domain: Sequence[int],
 ) -> list[WindowPerm]:
@@ -275,7 +276,8 @@ def _solve_column_window(
 
     Returns group values ``g_0 .. g_(L-1)`` along the column such that the
     step condition holds for all points at positions 1..L-1 and on
-    ``domain`` at the wraparound position 0.
+    ``domain`` at the wraparound position 0.  ``sigma_inv`` is
+    ``sigma**-1``, which the caller computes once for all its columns.
     """
     length = len(h_values)
     loop_target = _column_product(h_values)
@@ -283,7 +285,6 @@ def _solve_column_window(
     gamma = match_partial(sigma, length, target)
     gs: list[WindowPerm | None] = [None] * length
     gs[length - 1] = gamma
-    sigma_inv = sigma.inverse()
     for i in range(length - 1, 0, -1):
         gs[i - 1] = sigma_inv * gs[i] * h_values[i]
     return gs  # type: ignore[return-value]
@@ -307,38 +308,48 @@ def synthesize_conjugator(task: SynthesisTask) -> SynthesisResult:
     sigma = task.sigma if task.sigma is not None else sigma_budget(task.k, height)
     level = s0.level
     sigma_power = sigma ** height
+    sigma_inv = sigma.inverse()
     g = _scatter(
         level,
         tower.columns,
-        lambda column: _solve_column_window(sigma, [h.values[i] for i in column], domain),
+        lambda column: _solve_column_window(
+            sigma, sigma_inv, [h.values[i] for i in column], domain
+        ),
     )
+
+    def step_holds(y: int, prev: int) -> bool:
+        return all(g.values[y](h.values[y](n)) == sigma(g.values[prev](n)) for n in domain)
 
     # certificates by direct evaluation: the step condition at every tower
     # interval, then the loop condition at every column anchor
     s0_inv = s0.inverse()
+    step_ok = {}  # y -> whether the step condition holds at (y, S0**-1 y)
     certificates = []
     for column in tower.columns:
         base = column[0]
         for pos, y in enumerate(column):
             prev = s0_inv.perm[y]
+            ok = True
             for n in domain:
                 lhs = g.values[y](h.values[y](n))
                 rhs = sigma(g.values[prev](n))
-                certificates.append(("step", base, pos, n, lhs, rhs, lhs == rhs))
+                holds = lhs == rhs
+                ok &= holds
+                certificates.append(("step", base, pos, n, lhs, rhs, holds))
+            step_ok[y] = ok
         anchor = g.values[column[-1]]
+        anchor_inv = anchor.inverse()
         loop_target = _column_product([h.values[i] for i in column])
-        conj = anchor.inverse() * sigma_power * anchor
         for n in domain:
-            lhs_l, rhs_l = conj(n), loop_target(n)
+            lhs_l, rhs_l = anchor_inv(sigma_power(anchor(n))), loop_target(n)
             certificates.append(("loop", base, height - 1, n, lhs_l, rhs_l, lhs_l == rhs_l))
 
-    # exact agreement against the original map
+    # exact agreement against the original map, reusing the step verdicts
+    # wherever S**-1 y == S0**-1 y
     agreement = _agreement(
         task.s,
         level,
-        lambda y, prev: all(
-            g.values[y](h.values[y](n)) == sigma(g.values[prev](n)) for n in domain
-        ),
+        lambda y, prev: step_ok[y] if prev == s0_inv.perm[y] else step_holds(y, prev),
     )
     return SynthesisResult(
         g=g,
@@ -555,12 +566,13 @@ def conjugate_into_neighborhood(
     marked = [p for p, _ in target.value_conditions]
     if marked:
         center = target.center_f.refine(level)
+        g_inv = g_base.inverse()
         try:
             k = _scatter(
                 level,
                 r_prime.refine(level).cycles(include_fixed=True),
                 lambda cyc: _solve_column_window(
-                    g_base, [center.values[i] for i in cyc], marked
+                    g_base, g_inv, [center.values[i] for i in cyc], marked
                 ),
             )
         except InsufficientCycles as exc:

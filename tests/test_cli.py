@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from randlab import suites
+from randlab import dyadic, suites
 from randlab.cli import config_digest, main, parse_config, run_command
 from randlab.dyadic import MAX_LEVEL
 from randlab.errors import ConfigError
@@ -151,6 +151,20 @@ def test_main_entry_and_exit_codes(tmp_path, capsys):
     assert main(["tower", "--config", bad]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err
+
+
+def test_tower_with_a_broken_distance_exits_2_without_rows(tmp_path, capsys, monkeypatch):
+    # the pass column is true by construction: a failed tower check raises
+    # before any row is built
+    monkeypatch.setattr(dyadic, "delta_u", lambda a, b: F(2))
+    cfg = write(tmp_path, "tower.cfg", "mpt = shift:5\nheight = 4\nbound = 0\n")
+    out = tmp_path / "report.csv"
+    assert main(["tower", "--config", cfg]) == 2
+    assert main(["tower", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+    assert not out.exists()
 
 
 def test_main_writes_output_file(tmp_path):

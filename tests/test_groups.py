@@ -6,9 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from randlab import groups
 from randlab.corpus import rand_pl, rand_window_perm
 from randlab.dyadic import DyadicMPT
-from randlab.errors import InsufficientCycles, NotInjective, ParseError
+from randlab.errors import CertificateError, InsufficientCycles, NotInjective, ParseError
 from randlab.groups import (
     E,
     MAX_WINDOW,
@@ -137,6 +138,47 @@ def test_match_insufficient_cycles():
     with pytest.raises(InsufficientCycles) as info:
         match_partial(sigma, 1, {0: 1, 1: 2, 2: 3, 3: 0})
     assert info.value.needed
+
+
+def test_match_memo_keys_on_equal_sigma_and_power():
+    sigma = generic_surrogate(8, 2).realized
+    target = {0: 1, 1: 2, 2: 0, 3: 5}
+    groups._prepared_power.cache_clear()
+    cold = {n: match_partial(sigma, n, target) for n in (1, 2)}
+    twin = WindowPerm(sigma.images)
+    assert twin is not sigma and twin == sigma
+    assert match_partial(twin, 1, target) == cold[1]
+    for n in (2, 1, 2, 1):  # interleaved powers of one sigma
+        assert match_partial(sigma, n, target) == cold[n]
+
+
+def test_match_memo_repeats_a_shortfall():
+    sigma = from_cycles([[0, 1]])
+    for _ in range(2):
+        with pytest.raises(InsufficientCycles):
+            match_partial(sigma, 1, {0: 1, 1: 2, 2: 3, 3: 0})
+
+
+def test_match_memo_values_are_tuples():
+    power, pool, fixed = groups._prepared_power(generic_surrogate(5, 2).realized, 2)
+    assert isinstance(pool, tuple) and all(isinstance(c, tuple) for c in pool)
+    assert isinstance(fixed, tuple)
+    assert list(pool) == [tuple(c) for c in power.cycles()]
+    assert fixed == tuple(p for p in range(power.window) if power(p) == p)
+
+
+def test_match_postcondition_catches_a_wrong_completion(monkeypatch):
+    complete = groups.perm.complete
+
+    def swapped(assignment, width):
+        out = list(complete(assignment, width))
+        out[0], out[1] = out[1], out[0]
+        return tuple(out)
+
+    monkeypatch.setattr(groups.perm, "complete", swapped)
+    sigma = generic_surrogate(6, 1).realized
+    with pytest.raises(CertificateError, match="window match postcondition failed"):
+        match_partial(sigma, 1, {0: 1, 1: 2, 2: 0})
 
 
 def test_cycle_notation_round_trip():

@@ -52,3 +52,25 @@ def test_failed_postcondition_raises_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("CertificateError: periodic map")
+
+
+def test_window_match_postcondition_raises_under_optimize():
+    # a completion with two images swapped is still a bijection, but no
+    # longer carries the target onto the power
+    proc = run_optimized(
+        "from randlab import groups\n"
+        "from randlab.errors import CertificateError\n"
+        "complete = groups.perm.complete\n"
+        "def swapped(assignment, width):\n"
+        "    out = list(complete(assignment, width))\n"
+        "    out[0], out[1] = out[1], out[0]\n"
+        "    return tuple(out)\n"
+        "groups.perm.complete = swapped\n"
+        "sigma = groups.generic_surrogate(6, 1).realized\n"
+        "try:\n"
+        "    groups.match_partial(sigma, 1, {0: 1, 1: 2, 2: 0})\n"
+        "except CertificateError as exc:\n"
+        "    print('CertificateError:', exc)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("CertificateError: window match postcondition failed")

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from randlab import suites, synthesis
 from randlab.corpus import (
     rand_aperiodic_mpt,
     rand_cycle_type,
@@ -412,6 +413,46 @@ def test_synthesis_short_user_sigma_raises():
     with pytest.raises(InsufficientCycles):
         synthesize_conjugator(task)
 
+
+
+def test_synthesis_agreement_matches_a_direct_recount(monkeypatch):
+    # the agreement reuses the certificate loop's step verdicts wherever
+    # S**-1 y == S0**-1 y; recount every interval here without that reuse
+    drawn = []
+
+    def spy(task):
+        out = synthesize_conjugator(task)
+        drawn.append((task, out))
+        return out
+
+    monkeypatch.setattr(suites, "synthesize_conjugator", spy)
+    rng = random.Random(20)
+    for _ in range(20):
+        suites.synthesis_case(rng, rng.choice((5, 6)), rng.choice((4, 8)), 3, 6)
+    moved = 0
+    for task, out in drawn:
+        level = out.g.level
+        s, h, g = task.s.refine(level), task.h.refine(level), out.g
+        moved += s.perm != out.s0.perm
+        agree = sum(
+            all(g.values[y](h.values[y](n)) == out.sigma(g.values[prev](n)) for n in range(task.k))
+            for y, prev in enumerate(s.inverse().perm)
+        )
+        assert out.agreement == F(agree, 2 ** level)
+    assert moved >= 10  # most draws leave S != S0 at some column top
+
+
+def test_loop_rows_catch_a_wrong_anchor(monkeypatch):
+    # the loop rows are evaluated pointwise; an identity anchor must fail them
+    monkeypatch.setattr(synthesis, "match_partial", lambda sigma, n, target: E)
+    rng = random.Random(7)
+    task = SynthesisTask(
+        sigma=None, s=rand_aperiodic_mpt(rng, 6, 4), h=rand_step_perm(rng, 4, 6),
+        k=4, eps=F(1, 2), height=4,
+    )
+    out = synthesize_conjugator(task)
+    assert any(not row[-1] for row in out.certificates if row[0] == "loop")
+    assert not out.all_ok()
 
 
 # no height N has 2/N < eps <= 0, so the default height must refuse such eps
