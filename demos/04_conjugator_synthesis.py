@@ -24,7 +24,6 @@ from randlab import (
 )
 from randlab.dyadic import DyadicSet
 from randlab.corpus import rand_aperiodic_mpt, rand_cycle_type, rand_step_perm, rand_window_perm
-from randlab.synthesis import format_synthesis_result
 
 # %% A synthesis run: random aperiodic S at level 9, random simple target,
 # window 4, tower height 8.  The budget for sigma is sized automatically.
@@ -34,7 +33,8 @@ s = rand_aperiodic_mpt(rng, 9, 8)
 h = rand_step_perm(rng, 4, 8)
 task = SynthesisTask(sigma=None, s=s, h=h, k=4, eps=F(1, 4), height=8)
 result = synthesize_conjugator(task)
-print(format_synthesis_result(result))
+print("level:", result.g.level, "height:", result.height)
+print("tower columns:", len(result.tower.columns), "agreement:", result.agreement)
 print("all certificates hold:", result.all_ok())
 
 # %% Conjugating into a product neighborhood: first match the

@@ -30,11 +30,10 @@ from .dyadic import (
     delta_u,
     delta_u_prime,
     delta_w,
-    format_fraction,
     parse_mpt,
     periodic_approximation,
 )
-from .errors import ConfigError, RandlabError
+from .errors import ConfigError, ParseError, RandlabError
 from .groups import MAX_WINDOW, parse_cycles, perm_dp, perm_du, power_invariance_check
 from .stepfn import dhat
 from .suites import (
@@ -44,6 +43,7 @@ from .suites import (
     run_all,
     synthesis_case,
 )
+from .text import format_fraction, parse_fraction
 from .tilde import (
     lu_estimate,
     lu_exact_discrete,
@@ -84,11 +84,13 @@ def config_digest(command: str, cfg: dict[str, str]) -> str:
 
 
 def _frac(cfg, key, default=None, positive=False) -> Fraction:
-    if key not in cfg and default is None:
-        raise ConfigError(f"missing rational key {key!r}")
+    if key not in cfg:
+        if default is None:
+            raise ConfigError(f"missing rational key {key!r}")
+        return default
     try:
-        value = Fraction(cfg.get(key, default))
-    except (ValueError, ZeroDivisionError):
+        value = parse_fraction(cfg[key])
+    except ParseError:
         raise ConfigError(f"bad rational for {key!r}: {cfg[key]!r}") from None
     if positive and value <= 0:
         raise ConfigError(f"{key!r} must be positive, got {value}")
@@ -183,7 +185,7 @@ def cmd_tower(cfg):
     rng = random.Random(_int(cfg, "seed", 0))
     t = _mpt_from_config(cfg, "mpt", rng)
     height = _int(cfg, "height", lo=1)
-    bound = _frac(cfg, "bound", "1")
+    bound = _frac(cfg, "bound", F(1))
     pa = periodic_approximation(t, height, bound)
     return [
         {
@@ -263,7 +265,7 @@ def cmd_density(cfg):
 
 
 def cmd_verify(cfg):
-    scale = _frac(cfg, "scale", "1", positive=True)
+    scale = _frac(cfg, "scale", F(1), positive=True)
     seed_base = _int(cfg, "seed", 0)
     return [
         {

@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     TowerTooCoarse,
 )
+from .text import Reader, parse
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -554,48 +555,34 @@ def mpt_conjugate_match(t: DyadicMPT, s: DyadicMPT, eps: Fraction) -> ConjugacyM
 
 
 # ---------------------------------------------------------------------------
-# Text serialization
+# Text forms
 # ---------------------------------------------------------------------------
 
-def format_fraction(x: Fraction) -> str:
-    """Exact text form ``p/q`` of a rational, also for integers."""
-    return f"{x.numerator}/{x.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    """The rational written as ``text``; a malformed text or a zero
-    denominator raises :class:`ParseError`."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational: {text!r}") from None
-
-
-def _check_level(level: int) -> None:
+def read_level(r: Reader, keyword: str) -> int:
+    """``<keyword> <level>``, with the level refused outside ``0..MAX_LEVEL``
+    before anything of size ``2**level`` is built."""
+    r.expect(keyword)
+    level = r.integer()
     if not 0 <= level <= MAX_LEVEL:
         raise ParseError(f"level {level} outside 0..{MAX_LEVEL}")
+    return level
 
 
 def format_mpt(t: DyadicMPT) -> str:
     return "mpt {} {}".format(t.level, " ".join(str(i) for i in t.perm))
 
 
-def parse_mpt(text: str) -> DyadicMPT:
-    parts = text.split()
-    if len(parts) < 2 or parts[0] != "mpt":
-        raise ParseError(f"expected 'mpt <level> <images>', got {text!r}")
-    try:
-        level = int(parts[1])
-        images = tuple(int(p) for p in parts[2:])
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    _check_level(level)
+def read_mpt(r: Reader) -> DyadicMPT:
+    """``mpt <level> <images>``: the image of each interval in index order."""
+    level = read_level(r, "mpt")
+    images = r.ints()
     if len(images) != 2 ** level:
-        raise ParseError(f"need {2 ** level} images at level {level}, got {len(images)}")
-    try:
-        return DyadicMPT(level, images)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        raise r.error(f"{2 ** level} images at level {level} (read {len(images)})")
+    return DyadicMPT(level, tuple(images))
+
+
+def parse_mpt(text: str) -> DyadicMPT:
+    return parse(text, read_mpt)
 
 
 def format_set(s: DyadicSet) -> str:
@@ -603,16 +590,5 @@ def format_set(s: DyadicSet) -> str:
 
 
 def parse_set(text: str) -> DyadicSet:
-    parts = text.split()
-    if len(parts) < 2 or parts[0] != "set":
-        raise ParseError(f"expected 'set <level> <indices>', got {text!r}")
-    try:
-        level = int(parts[1])
-        members = frozenset(int(p) for p in parts[2:])
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    _check_level(level)
-    try:
-        return DyadicSet(level, members)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    """``set <level> <indices>``: the member intervals in any order."""
+    return parse(text, lambda r: DyadicSet(read_level(r, "set"), frozenset(r.ints())))

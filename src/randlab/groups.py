@@ -11,7 +11,6 @@ exactly computable.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,8 +19,9 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from . import perm
-from .dyadic import DyadicMPT, _checked_runs, format_fraction, parse_fraction
+from .dyadic import DyadicMPT, _checked_runs
 from .errors import CertificateError, InsufficientCycles, NotAnIndex, NotInjective, ParseError
+from .text import Reader, parse
 
 # ---------------------------------------------------------------------------
 # Window permutations
@@ -145,23 +145,22 @@ def format_cycles(p: WindowPerm) -> str:
     return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycles)
 
 
-def parse_cycles(text: str) -> WindowPerm:
-    """Parse disjoint-cycle notation such as ``(0 1)(2 3 4)``."""
-    text = text.strip()
-    if text in ("()", ""):
+def read_cycles(r: Reader) -> WindowPerm:
+    """Disjoint-cycle notation such as ``(0 1)(2 3 4)``; ``()`` is the identity."""
+    r.expect("(")
+    cycles = [r.ints_until(")")]
+    if not cycles[0]:
         return E
-    if not re.fullmatch(r"(\(\s*\d+(?:[ ,]+\d+)*\s*\))+", text):
-        raise ParseError(f"bad cycle notation: {text!r}")
-    cycles = []
-    try:
-        for group in re.findall(r"\(([^()]*)\)", text):
-            pts = [int(t) for t in re.split(r"[ ,]+", group.strip()) if t]
-            if max(pts) >= MAX_WINDOW:
-                raise ParseError(f"cycle point {max(pts)} outside 0..{MAX_WINDOW - 1}")
-            cycles.append(pts)
-        return from_cycles(cycles)
-    except ValueError as exc:  # also a point too long for int() to read
-        raise ParseError(str(exc)) from None
+    while r.accept("("):
+        cycles.append(r.ints_until(")"))
+    for pts in cycles:
+        if pts and max(pts) >= MAX_WINDOW:
+            raise ParseError(f"cycle point {max(pts)} outside 0..{MAX_WINDOW - 1}")
+    return from_cycles(cycles)
+
+
+def parse_cycles(text: str) -> WindowPerm:
+    return parse(text, read_cycles)
 
 
 # -- metrics ------------------------------------------------------------------
@@ -661,43 +660,3 @@ def power_invariance_check(g, n: int) -> PowerInvarianceReport:
             },
         )
     raise TypeError(f"unsupported element kind: {type(g).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Serialization for order automorphisms
-# ---------------------------------------------------------------------------
-
-def format_pl(g: PLOrderAut) -> str:
-    """Format as ``piece a b | x<c; ...`` with rationals as p/q."""
-    parts = []
-    for i, (a, c) in enumerate(g.pieces):
-        text = f"piece {format_fraction(a)} {format_fraction(c)}"
-        if i < len(g.breakpoints):
-            text += f" | x<{format_fraction(g.breakpoints[i])}"
-        parts.append(text)
-    return "; ".join(parts)
-
-
-def parse_pl(text: str) -> PLOrderAut:
-    pieces, breaks = [], []
-    chunks = [c.strip() for c in text.split(";") if c.strip()]
-    if not chunks:
-        raise ParseError("empty order-automorphism description")
-    for i, chunk in enumerate(chunks):
-        m = re.fullmatch(
-            r"piece\s+(-?\d+(?:/\d+)?)\s+(-?\d+(?:/\d+)?)"
-            r"(?:\s*\|\s*x<\s*(-?\d+(?:/\d+)?))?",
-            chunk,
-        )
-        if not m:
-            raise ParseError(f"bad piece: {chunk!r}")
-        a, c, b = m.group(1), m.group(2), m.group(3)
-        pieces.append((parse_fraction(a), parse_fraction(c)))
-        if b is not None:
-            breaks.append(parse_fraction(b))
-        elif i != len(chunks) - 1:
-            raise ParseError("only the last piece may omit its bound")
-    try:
-        return PLOrderAut(tuple(breaks), tuple(pieces))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import perm
-from .dyadic import DyadicMPT, DyadicSet, _checked_level, format_fraction, parse_fraction
+from .dyadic import DyadicMPT, DyadicSet, _checked_level, read_level
 from .errors import (
     CertificateError,
     MismatchedSpace,
@@ -24,8 +24,9 @@ from .errors import (
     RandlabError,
     Unmatchable,
 )
-from .groups import E, WindowPerm, format_cycles, match_partial, parse_cycles, perm_du
+from .groups import E, WindowPerm, format_cycles, match_partial, perm_du, read_cycles
 from .spaces import SpaceIsometry, isometry_du, nat_discrete, space_identity
+from .text import Reader, format_fraction, parse
 
 Metric = Callable[[object, object], Fraction]
 
@@ -317,7 +318,7 @@ def constant_generic_conjugator(
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Text forms
 # ---------------------------------------------------------------------------
 
 def format_value(v) -> str:
@@ -330,16 +331,13 @@ def format_value(v) -> str:
     raise ParseError(f"no text form for value kind {type(v).__name__}")
 
 
+def read_value(r: Reader):
+    """A fiber value: cycle notation, an integer or a rational ``p/q``."""
+    return read_cycles(r) if r.peek() == "(" else r.number()
+
+
 def parse_value(text: str):
-    text = text.strip()
-    if text.startswith("("):
-        return parse_cycles(text)
-    if "/" in text:
-        return parse_fraction(text)
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"bad step value: {text!r}") from None
+    return parse(text, read_value)
 
 
 def format_step(f: StepFn) -> str:
@@ -347,35 +345,16 @@ def format_step(f: StepFn) -> str:
     return f"step {f.level} [{body}]"
 
 
+def read_step(r: Reader) -> StepFn:
+    """``step <level> [v, v, ...]``: one value per interval of the level."""
+    level = read_level(r, "step")
+    r.expect("[")
+    values = [read_value(r)]
+    while r.accept(","):
+        values.append(read_value(r))
+    r.expect("]")
+    return StepFn(level, tuple(values))
+
+
 def parse_step(text: str) -> StepFn:
-    text = text.strip()
-    m = text.split(None, 2)
-    if len(m) != 3 or m[0] != "step" or not m[2].startswith("["):
-        raise ParseError(f"expected 'step <level> [values]', got {text!r}")
-    try:
-        level = int(m[1])
-    except ValueError:
-        raise ParseError(f"bad level {m[1]!r}") from None
-    body = m[2].strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ParseError("step values must be bracketed")
-    inner = body[1:-1].strip()
-    # split on commas that are not inside parentheses
-    parts, depth, cur = [], 0, ""
-    for ch in inner:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        parts.append(cur)
-    values = tuple(parse_value(p) for p in parts)
-    try:
-        return StepFn(level, values)
-    except ValueError as exc:  # a value count that does not match the level
-        raise ParseError(str(exc)) from None
+    return parse(text, read_step)

@@ -39,11 +39,7 @@ from .dyadic import (
     TowerData,
     _exact_conjugator,
     delta_u,
-    format_fraction,
-    format_mpt,
     mpt_conjugate_match,
-    parse_fraction,
-    parse_mpt,
     periodic_approximation,
 )
 from .errors import (
@@ -51,14 +47,11 @@ from .errors import (
     InsufficientCycles,
     NotExactTower,
     OracleFailure,
-    ParseError,
     RandlabError,
     WindowTooWide,
 )
-from .groups import (
-    MAX_WINDOW, E, WindowPerm, cycle_pack, format_cycles, match_partial, parse_cycles
-)
-from .stepfn import StepFn, format_step, parse_step, value_kind
+from .groups import MAX_WINDOW, E, WindowPerm, cycle_pack, match_partial
+from .stepfn import StepFn, value_kind
 from .tilde import (
     ProductNbhd,
     TildeElement,
@@ -178,64 +171,6 @@ class SynthesisResult:
 
     def all_ok(self) -> bool:
         return all(row[-1] for row in self.certificates)
-
-
-def format_synthesis_task(task: SynthesisTask) -> str:
-    lines = ["synthesis {"]
-    lines.append(
-        "  sigma " + ("auto" if task.sigma is None else format_cycles(task.sigma))
-    )
-    lines.append(f"  s {format_mpt(task.s)}")
-    lines.append(f"  h {format_step(task.h)}")
-    lines.append(f"  k {task.k}")
-    lines.append(f"  eps {format_fraction(Fraction(task.eps))}")
-    if task.height is not None:
-        lines.append(f"  height {task.height}")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def parse_synthesis_task(text: str) -> SynthesisTask:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if not lines or lines[0] != "synthesis {" or lines[-1] != "}":
-        raise ParseError("expected a 'synthesis { ... }' block")
-    fields: dict[str, str] = {}
-    for ln in lines[1:-1]:
-        if not ln:
-            continue
-        key, _, value = ln.partition(" ")
-        fields[key] = value.strip()
-    try:
-        sigma = None if fields["sigma"] == "auto" else parse_cycles(fields["sigma"])
-        task = SynthesisTask(
-            sigma=sigma,
-            s=parse_mpt(fields["s"]),
-            h=parse_step(fields["h"]),
-            k=int(fields["k"]),
-            eps=parse_fraction(fields["eps"]),
-            height=int(fields["height"]) if "height" in fields else None,
-        )
-    except KeyError as exc:
-        raise ParseError(f"synthesis block missing field {exc}") from None
-    except ValueError as exc:  # a k or height that is not an integer
-        raise ParseError(f"synthesis block: {exc}") from None
-    if task.k < 1 or (task.height is not None and task.height < 1):
-        raise ParseError("synthesis block: k and height must be positive")
-    return task
-
-
-def format_synthesis_result(result: SynthesisResult) -> str:
-    ok = sum(1 for row in result.certificates if row[-1])
-    lines = [
-        "synthesis-result {",
-        f"  level {result.g.level}",
-        f"  height {result.height}",
-        f"  columns {len(result.tower.columns)}",
-        f"  agreement {format_fraction(result.agreement)}",
-        f"  certificates {ok}/{len(result.certificates)}",
-        "}",
-    ]
-    return "\n".join(lines)
 
 
 def sigma_budget(k: int, height: int) -> WindowPerm:

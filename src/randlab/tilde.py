@@ -19,35 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dyadic import (
-    DyadicMPT,
-    DyadicSet,
-    format_fraction,
-    format_mpt,
-    format_set,
-    parse_fraction,
-    parse_mpt,
-    parse_set,
-)
-from .errors import (
-    CertificateError,
-    DegenerateSpace,
-    MismatchedSpace,
-    NotDiscrete,
-    ParseError,
-)
+from .dyadic import DyadicMPT, DyadicSet, format_mpt, read_mpt
+from .errors import CertificateError, DegenerateSpace, MismatchedSpace, NotDiscrete
 from .groups import E
-from .stepfn import (
-    StepFn,
-    dhat,
-    format_step,
-    format_value,
-    l0_mul,
-    parse_step,
-    parse_value,
-    value_kind,
-    zip_values,
-)
+from .stepfn import StepFn, dhat, format_step, l0_mul, read_step, value_kind, zip_values
+from .text import Reader, parse
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -581,82 +557,23 @@ def lu_estimate(
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Text forms
 # ---------------------------------------------------------------------------
 
 def format_tilde(a: TildeElement) -> str:
     return f"tilde {{ {format_step(a.f)} ; {format_mpt(a.t)} }}"
 
 
+def read_tilde(r: Reader) -> TildeElement:
+    """``tilde { <step> ; <mpt> }``: the fiber function, then the map."""
+    r.expect("tilde")
+    r.expect("{")
+    f = read_step(r)
+    r.expect(";")
+    t = read_mpt(r)
+    r.expect("}")
+    return TildeElement(f, t)
+
+
 def parse_tilde(text: str) -> TildeElement:
-    text = text.strip()
-    if not (text.startswith("tilde") and "{" in text and text.endswith("}")):
-        raise ParseError(f"expected 'tilde {{ step ... ; mpt ... }}', got {text!r}")
-    body = text[text.index("{") + 1 : -1]
-    parts = body.split(";")
-    if len(parts) != 2:
-        raise ParseError("tilde body needs exactly one ';'")
-    return TildeElement(parse_step(parts[0].strip()), parse_mpt(parts[1].strip()))
-
-
-def format_nbhd(nbhd: PointwiseNbhd | ProductNbhd) -> str:
-    """Neighborhood block: one test or condition per line with its radius."""
-    lines = []
-    if isinstance(nbhd, PointwiseNbhd):
-        lines.append("nbhd pointwise {")
-        lines.append(f"  center {format_tilde(nbhd.center)}")
-        for alpha, radius in nbhd.tests:
-            lines.append(f"  test {format_step(alpha)} ; radius {format_fraction(radius)}")
-    else:
-        lines.append("nbhd product {")
-        lines.append(f"  center {format_tilde(TildeElement(nbhd.center_f, nbhd.center_t))}")
-        for point, bound in nbhd.value_conditions:
-            lines.append(f"  value {format_value(point)} ; radius {format_fraction(bound)}")
-        for s, bound in nbhd.set_conditions:
-            lines.append(f"  set {format_set(s)} ; radius {format_fraction(bound)}")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def parse_nbhd(text: str) -> PointwiseNbhd | ProductNbhd:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if not lines or not lines[0].startswith("nbhd") or lines[-1] != "}":
-        raise ParseError("expected an 'nbhd <form> { ... }' block")
-    head = lines[0].split()
-    if len(head) < 2 or head[1] not in ("pointwise", "product"):
-        raise ParseError(f"unknown neighborhood form in {lines[0]!r}")
-    form = head[1]
-    center: TildeElement | None = None
-    tests, values, sets = [], [], []
-    for ln in lines[1:-1]:
-        if not ln:
-            continue
-        if ln.startswith("center "):
-            center = parse_tilde(ln[len("center "):])
-            continue
-        if ";" not in ln:
-            raise ParseError(f"condition line needs '; radius p/q': {ln!r}")
-        body, _, radius_part = ln.rpartition(";")
-        radius_part = radius_part.strip()
-        if not radius_part.startswith("radius "):
-            raise ParseError(f"missing radius in {ln!r}")
-        radius = parse_fraction(radius_part[len("radius "):].strip())
-        body = body.strip()
-        if body.startswith("test "):
-            tests.append((parse_step(body[len("test "):]), radius))
-        elif body.startswith("value "):
-            values.append((parse_value(body[len("value "):]), radius))
-        elif body.startswith("set "):
-            sets.append((parse_set(body[len("set "):]), radius))
-        else:
-            raise ParseError(f"unknown condition {body!r}")
-    if center is None:
-        raise ParseError("neighborhood block lacks a center")
-    if form == "pointwise":
-        return PointwiseNbhd(center=center, tests=tuple(tests))
-    return ProductNbhd(
-        center_f=center.f,
-        center_t=center.t,
-        value_conditions=tuple(values),
-        set_conditions=tuple(sets),
-    )
+    return parse(text, read_tilde)

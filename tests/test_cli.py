@@ -284,8 +284,14 @@ def test_levels_past_the_bound_exit_2(tmp_path, capsys, command, text):
         ("metrics", "a = tilde { step 0 [1/0] ; mpt 0 0 }\n"
                     "b = tilde { step 0 [()] ; mpt 0 0 }\n", "bad rational"),
         ("power", f"perm = (0 {MAX_WINDOW})\n", str(MAX_WINDOW - 1)),
+        ("density", "seed = 1\neps = 1/0\n", "bad rational for 'eps': '1/0'"),
+        ("metrics", "a = tilde/ { step 0 [()] ; mpt 0 0 }\n"
+                    "b = tilde { step 0 [()] ; mpt 0 0 }\n", "'tilde/'"),
+        ("metrics", "a = tilde { step 100000000 [()] ; mpt 0 0 }\n"
+                    "b = tilde { step 0 [()] ; mpt 0 0 }\n", "outside 0..16"),
     ],
-    ids=["zero-denominator", "point-past-window"],
+    ids=["zero-denominator", "point-past-window", "config-zero-denominator",
+         "glued-keyword", "step-level-past-bound"],
 )
 def test_bad_literals_exit_2(tmp_path, capsys, command, text, message):
     cfg = write(tmp_path, "bad.cfg", text)

@@ -17,13 +17,11 @@ from randlab.groups import (
     WindowPerm,
     cycle_pack,
     format_cycles,
-    format_pl,
     from_cycles,
     generic_surrogate,
     match_partial,
     orbitals_and_signs,
     parse_cycles,
-    parse_pl,
     perm_dp,
     perm_du,
     power_cycle_type,
@@ -243,15 +241,10 @@ def test_pl_power_orbital_invariance():
             assert orbitals_and_signs(g ** n) == base
 
 
-def test_pl_serialization_round_trip():
-    rng = random.Random(29)
-    for _ in range(20):
-        g = rand_pl(rng)
-        assert parse_pl(format_pl(g)).same_map(g)
-    with pytest.raises(ParseError):
-        parse_pl("piece 1/1")
-    with pytest.raises(ParseError):
-        parse_pl("piece -1/2 0/1")  # negative slope
+def test_pl_refuses_a_slope_that_is_not_positive():
+    for slope in (F(-1, 2), 0):
+        with pytest.raises(ValueError, match="slopes must be positive"):
+            PLOrderAut((), ((slope, 0),))
 
 
 # -- power invariance dispatch -------------------------------------------------

@@ -19,7 +19,6 @@ from randlab.errors import (
     InsufficientCycles,
     NotExactTower,
     OracleFailure,
-    ParseError,
     WindowTooWide,
 )
 from randlab.groups import (
@@ -38,7 +37,6 @@ from randlab.synthesis import (
     mpt_power_oracle,
     nearest_of_cycle_type,
     column_intervals,
-    parse_synthesis_task,
     sigma_budget,
     synthesize_conjugator,
     synthesize_conjugator_metric,
@@ -496,13 +494,6 @@ NONPOSITIVE_TASKS = {
 def test_nonpositive_height_or_k_is_refused(run):
     with pytest.raises(ValueError, match="must be positive"):
         run()
-
-
-@pytest.mark.parametrize("field", ["k 0\n  eps 1/4", "k 2\n  eps 1/4\n  height 0"])
-def test_parsed_task_with_nonpositive_height_or_k_is_a_parse_error(field):
-    text = "synthesis {\n  sigma auto\n  s mpt 2 1 2 3 0\n  h step 0 [()]\n  " + field + "\n}"
-    with pytest.raises(ParseError, match="must be positive"):
-        parse_synthesis_task(text)
 
 
 # -- failures name the step that failed ----------------------------------------
