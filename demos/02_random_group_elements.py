@@ -14,7 +14,7 @@ import random
 from fractions import Fraction as F
 
 from randlab import StepFn, constant_generic_conjugator, dhat, generic_surrogate, lsc_probe
-from randlab.groups import E, parse_cycles, perm_dp, perm_du
+from randlab.groups import parse_cycles, perm_dp, perm_du
 from randlab.corpus import rand_step_perm, rand_window_perm
 
 # %% Two random elements and their integrated distances.

@@ -19,7 +19,6 @@ from randlab import (
     lu_bounds,
     lu_estimate,
     lu_exact_discrete,
-    nbhd_product_to_pointwise,
     pointwise_metric,
     tilde_act,
     tilde_identity,
@@ -66,10 +65,3 @@ for _ in range(3):
         "pointwise", pointwise_metric(a, b, budget=20),
     )
 
-# %% Neighborhood calculators: a product-form box sitting inside the
-# pointwise ball at a test function.  Every member of the box passes the
-# pointwise membership test.
-
-center = rand_tilde_perm(rng, 2, 4)
-box = nbhd_product_to_pointwise(center, StepFn(2, (0, 0, 1, 1)), F(1, 2))
-print("box bounds per factor:", [str(b) for _, b in box.value_conditions])

@@ -41,8 +41,6 @@ from .stepfn import (
     StepFn,
     constant_generic_conjugator,
     dhat,
-    l0_conj,
-    l0_inv,
     l0_mul,
     lsc_probe,
 )
@@ -53,17 +51,13 @@ from .synthesis import (
     conjugate_into_neighborhood,
     synthesize_conjugator,
     synthesize_conjugator_metric,
-    tower_product,
 )
 from .tilde import (
-    PointwiseNbhd,
     ProductNbhd,
     TildeElement,
     lu_bounds,
     lu_estimate,
     lu_exact_discrete,
-    nbhd_pointwise_to_product,
-    nbhd_product_to_pointwise,
     pointwise_metric,
     tilde_act,
     tilde_identity,

@@ -91,14 +91,6 @@ def rand_step_isometry(
     return StepFn(level, tuple(rng.choice(group) for _ in range(2 ** level)))
 
 
-def rand_step_points(
-    rng: random.Random, level: int, space: FiniteMetricSpace
-) -> StepFn:
-    return StepFn(
-        level, tuple(rng.choice(space.points) for _ in range(2 ** level))
-    )
-
-
 def rand_pl(rng: random.Random, max_breaks: int = 6) -> PLOrderAut:
     """Seeded order automorphism with up to ``max_breaks`` breakpoints in [-8, 8]."""
     span = 8

@@ -117,10 +117,6 @@ class DyadicSet:
             level, frozenset(k * i + j for i in self.members for j in range(k))
         )
 
-    def same_set(self, other: "DyadicSet") -> bool:
-        m = max(self.level, other.level)
-        return self.refine(m).members == other.refine(m).members
-
     def union(self, other: "DyadicSet") -> "DyadicSet":
         m = max(self.level, other.level)
         return DyadicSet._of(m, self.refine(m).members | other.refine(m).members)
@@ -299,20 +295,6 @@ def delta_u_prime(t: DyadicMPT, r: DyadicMPT) -> Fraction:
     return Fraction(count, 2 ** m)
 
 
-def delta_u_prime_bruteforce(t: DyadicMPT, r: DyadicMPT) -> Fraction:
-    """Independent oracle for :func:`delta_u_prime` by subset enumeration."""
-    m = max(t.level, r.level)
-    a, b = t.refine(m), r.refine(m)
-    n = 2 ** m
-    best = 0
-    for bits in range(2 ** n):
-        s = frozenset(i for i in range(n) if bits >> i & 1)
-        ia = frozenset(a.perm[i] for i in s)
-        ib = frozenset(b.perm[i] for i in s)
-        best = max(best, len(ia ^ ib))
-    return Fraction(best, 2 ** m)
-
-
 # ---------------------------------------------------------------------------
 # Towers and periodic approximation
 # ---------------------------------------------------------------------------
@@ -453,7 +435,9 @@ def periodic_approximation(
     Only heights dividing the interval count admit exact period maps: the
     leftover count is congruent to ``2**level`` mod ``height``, so a height
     with an odd factor can never be regrouped exactly at any refinement.
-    Raises :class:`LeftoverIndivisible` in that case.
+    Raises :class:`LeftoverIndivisible` in that case.  Refinement keeps
+    every cycle length, so a height above ``2**t.level`` raises
+    :class:`NotAperiodic` before any tower is built.
     """
     if height < 1:
         raise ValueError("height must be positive")
@@ -462,9 +446,12 @@ def periodic_approximation(
             f"height {height} has an odd factor; dyadic resolution only "
             "hosts exact period maps for powers of two"
         )
-    level = max(t.level, height.bit_length() - 1)
-    tt = t.refine(level)
-    tower = rokhlin_tower(tt, height, bound)
+    if height > 2 ** t.level:
+        raise NotAperiodic(
+            f"height {height} exceeds the {2 ** t.level} intervals of level "
+            f"{t.level}, so every cycle is shorter"
+        )
+    tower = rokhlin_tower(t, height, bound)
     if not tower.periodic_exact:  # count is 2**level mod height == 0
         raise CertificateError("leftover not regrouped into exact cycles")
     s0 = tower.periodic_map
@@ -472,15 +459,15 @@ def periodic_approximation(
     exact_tower = TowerData(
         columns=tuple(sorted(tower.columns + tuple(blocks))),
         height=height,
-        level=level,
-        leftover=DyadicSet.empty(level),
+        level=t.level,
+        leftover=DyadicSet.empty(t.level),
         periodic_map=s0,
         periodic_exact=True,
         requested_bound=ZERO,
     )
     exact_tower.validate(s0)
     return PeriodicApproximation(
-        s0=s0, height=height, tower=tower, exact_tower=exact_tower, distance=delta_u(tt, s0)
+        s0=s0, height=height, tower=tower, exact_tower=exact_tower, distance=delta_u(t, s0)
     )
 
 

@@ -34,10 +34,6 @@ class WindowTooWide(RandlabError):
     """A window permutation would need more than ``MAX_WINDOW`` points."""
 
 
-class NotExactTower(RandlabError):
-    """An operation required a tower with full coverage."""
-
-
 class InsufficientCycles(RandlabError):
     """The permutation lacks spare cycles of the lengths a match needs."""
 

@@ -112,13 +112,12 @@ def complete(assignment: Mapping[int, int], width: int) -> tuple[int, ...]:
     """Extend a partial injection inside ``range(width)`` to a permutation.
 
     The unassigned points are sent to the unused images, both taken in
-    increasing order.
+    increasing order, in one walk over ``range(width)``.
     """
-    out = list(range(width))
-    for k, v in assignment.items():
-        out[k] = v
-    sources = sorted(set(range(width)) - set(assignment))
-    images = sorted(set(range(width)) - set(assignment.values()))
-    for k, v in zip(sources, images):
-        out[k] = v
-    return tuple(out)
+    used = [False] * width
+    for v in assignment.values():
+        used[v] = True
+    free = (j for j in range(width) if not used[j])
+    return tuple(
+        assignment[i] if i in assignment else next(free) for i in range(width)
+    )

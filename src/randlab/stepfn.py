@@ -143,19 +143,6 @@ class StepFn:
         f, tt = self.refine(m), t.refine(m)
         return StepFn(m, tuple(f.values[tt.perm[i]] for i in range(2 ** m)))
 
-    def distinct_pieces(self):
-        """Pairs (value, set where it is taken), in first-appearance order."""
-        order = []
-        groups: dict = {}
-        for i, v in enumerate(self.values):
-            if v not in groups:
-                groups[v] = set()
-                order.append(v)
-            groups[v].add(i)
-        return [
-            (v, DyadicSet(self.level, frozenset(groups[v]))) for v in order
-        ]
-
 
 def zip_values(f: StepFn, h: StepFn):
     m = max(f.level, h.level)
@@ -192,15 +179,6 @@ def l0_mul(f: StepFn, h: StepFn) -> StepFn:
     _check_same_kind(f, h)
     m, fv, hv = zip_values(f, h)
     return StepFn(m, tuple(a * b for a, b in zip(fv, hv)))
-
-
-def l0_inv(f: StepFn) -> StepFn:
-    return f.map(lambda v: v.inverse())
-
-
-def l0_conj(f: StepFn, by: StepFn) -> StepFn:
-    """Pointwise ``by**-1 * f * by``."""
-    return l0_mul(l0_mul(l0_inv(by), f), by)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .dyadic import (
 from .errors import (
     CertificateError,
     InsufficientCycles,
-    NotExactTower,
     OracleFailure,
     RandlabError,
     WindowTooWide,
@@ -66,29 +65,9 @@ ZERO = Fraction(0)
 # Column products
 # ---------------------------------------------------------------------------
 
-def column_intervals(s0: DyadicMPT, base: int, height: int) -> list[int]:
-    """Interval indices ``base, s0(base), ..., s0**(height-1)(base)``."""
-    out = [base]
-    for _ in range(height - 1):
-        out.append(s0.perm[out[-1]])
-    return out
-
-
 def _column_product(values: Sequence):
     """``values[-1] * ... * values[1] * values[0]``."""
     return reduce(lambda acc, v: v * acc, values[1:], values[0])
-
-
-def tower_product(h: StepFn, s0: DyadicMPT, tower: TowerData, x: int):
-    """Ordered product of ``h`` up the column through base interval ``x``:
-    ``h(s0**(N-1) x) * ... * h(s0 x) * h(x)``, rightmost applied first."""
-    if tower.leftover.members:
-        raise NotExactTower("tower_product needs a full-coverage tower")
-    level = max(h.level, s0.level)
-    hh, ss = h.refine(level), s0.refine(level)
-    scale = 2 ** (level - tower.level)
-    column = column_intervals(ss, x * scale, tower.height)
-    return _column_product([hh.values[i] for i in column])
 
 
 def _tower_setup(

@@ -5,10 +5,9 @@ measure-preserving interval permutation.  It acts on a point-valued step
 function ``alpha`` by ``((f, T) alpha)(w) = f(w)(alpha(T**-1 w))``, which
 makes the pair an isometry of the step functions under the integral metric.
 The module provides the group law, the action, an explicit pointwise
-metric, neighborhood calculators relating the pointwise and product
-topologies, and three routes to the uniform metric: the exact discrete
-formula, two-sided sandwich bounds, and a lower estimate from explicit
-witness test functions.
+metric, product-form neighborhoods, and three routes to the uniform
+metric: the exact discrete formula, two-sided sandwich bounds, and a lower
+estimate from explicit witness test functions.
 """
 
 from __future__ import annotations
@@ -17,16 +16,25 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .dyadic import DyadicMPT, DyadicSet, format_mpt, read_mpt
-from .errors import CertificateError, DegenerateSpace, MismatchedSpace, NotDiscrete
+from .errors import CertificateError, MismatchedSpace, NotDiscrete, ParseError
 from .groups import E
-from .stepfn import StepFn, dhat, format_step, l0_mul, read_step, value_kind, zip_values
+from .stepfn import (
+    VALUE_KINDS,
+    StepFn,
+    dhat,
+    format_step,
+    format_value,
+    l0_mul,
+    read_step,
+    value_kind,
+    zip_values,
+)
 from .text import Reader, parse
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +95,6 @@ def tilde_act(a: TildeElement, alpha: StepFn) -> StepFn:
     )
 
 
-def _point_metric(fiber: StepFn) -> Callable:
-    """Metric of the space the fiber values act on."""
-    v = fiber.values[0]
-    return value_kind(v).point_metric(v)
-
-
 # ---------------------------------------------------------------------------
 # Pointwise metric
 # ---------------------------------------------------------------------------
@@ -129,27 +131,6 @@ def pointwise_metric(a: TildeElement, b: TildeElement, budget: int = 64) -> Frac
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PointwiseNbhd:
-    """Finite intersection of action-displacement balls."""
-
-    center: TildeElement
-    tests: tuple[tuple[StepFn, Fraction], ...]  # (test function, radius)
-
-    def residuals(self, x: TildeElement) -> list[Fraction]:
-        metric = _point_metric(self.center.f)
-        return [
-            dhat(tilde_act(self.center, alpha), tilde_act(x, alpha), metric)
-            for alpha, _ in self.tests
-        ]
-
-    def contains(self, x: TildeElement) -> bool:
-        return all(
-            r < radius
-            for r, (_, radius) in zip(self.residuals(x), self.tests)
-        )
-
-
-@dataclass(frozen=True)
 class ProductNbhd:
     """Product-form neighborhood: value conditions on the fiber factor and
     set-displacement conditions on the transformation factor."""
@@ -160,7 +141,8 @@ class ProductNbhd:
     set_conditions: tuple[tuple[DyadicSet, Fraction], ...]  # (set, bound)
 
     def fiber_residuals(self, f: StepFn) -> list[Fraction]:
-        metric = _point_metric(self.center_f)
+        v = self.center_f.values[0]
+        metric = value_kind(v).point_metric(v)
         out = []
         for point, _ in self.value_conditions:
             m, cv, fv = zip_values(self.center_f, f)
@@ -176,190 +158,14 @@ class ProductNbhd:
             for s, _ in self.set_conditions
         ]
 
-    def contains_pair(self, f: StepFn, t: DyadicMPT) -> bool:
-        fib = self.fiber_residuals(f)
-        aut = self.aut_residuals(t)
+    def contains(self, x: TildeElement) -> bool:
+        fib = self.fiber_residuals(x.f)
+        aut = self.aut_residuals(x.t)
         return all(
             r < bound for r, (_, bound) in zip(fib, self.value_conditions)
         ) and all(
             r < bound for r, (_, bound) in zip(aut, self.set_conditions)
         )
-
-    def contains(self, x: TildeElement) -> bool:
-        return self.contains_pair(x.f, x.t)
-
-
-def nbhd_product_to_pointwise(
-    center: TildeElement, alpha: StepFn, eps: Fraction
-) -> ProductNbhd:
-    """Product-form box inside the pointwise eps-ball at ``alpha``.
-
-    With ``alpha`` taking k distinct values on pieces ``A_i``, the box
-    demands fiber agreement ``< eps/(2k)`` at each value and set
-    displacement ``mu(T(A_i) ^ R(A_i)) < eps/(2k)``; membership of any
-    (g, R) in the box forces the pointwise displacement at ``alpha`` below
-    eps.
-    """
-    eps = Fraction(eps)
-    pieces = alpha.distinct_pieces()
-    k = len(pieces)
-    bound = eps / (2 * k)
-    return ProductNbhd(
-        center_f=center.f,
-        center_t=center.t,
-        value_conditions=tuple((v, bound) for v, _ in pieces),
-        set_conditions=tuple((s, bound) for _, s in pieces),
-    )
-
-
-@dataclass(frozen=True)
-class PointwiseToProduct:
-    """Pointwise neighborhood with the product conditions it certifies."""
-
-    nbhd: PointwiseNbhd
-    target_set: DyadicSet
-    target_set_bound: Fraction
-    fiber_test: StepFn
-    fiber_bound: Fraction
-
-
-def nbhd_pointwise_to_product(
-    center: TildeElement,
-    b: DyadicSet,
-    alpha: StepFn,
-    eps: Fraction,
-    c1,
-    c2,
-) -> PointwiseToProduct:
-    """Pointwise-form box inside a product neighborhood.
-
-    Uses the two-point separation trick: with ``s = d(c1, c2) > 0`` the
-    test functions ``beta1 = c1`` everywhere and ``beta2 = c1`` on ``b``,
-    ``c2`` off ``b``, each with radius ``eps*s/4``, force ``mu(T(b) ^ R(b))
-    < eps``; the pulled-back test ``gamma = alpha o T`` with radius
-    ``eps/2``, together with per-piece set control at ``eps/(2k)``, forces
-    the fiber integral at ``alpha`` below eps.
-    """
-    eps = Fraction(eps)
-    metric = _point_metric(center.f)
-    s = metric(c1, c2)
-    if s <= 0:
-        raise DegenerateSpace("need two points at positive distance")
-    level = max(b.level, alpha.level, center.f.level, center.t.level)
-    beta1 = StepFn.constant(c1, level)
-    b_fine = b.refine(level)
-    beta2 = StepFn(
-        level,
-        tuple(
-            c1 if i in b_fine.members else c2 for i in range(2 ** level)
-        ),
-    )
-    gamma = alpha.precompose(center.t)
-    tests: list[tuple[StepFn, Fraction]] = [
-        (beta1, eps * s / 4),
-        (beta2, eps * s / 4),
-        (gamma, eps / 2),
-    ]
-    # per-piece set control for the fiber-factor containment
-    pieces = alpha.distinct_pieces()
-    k = len(pieces)
-    for _, piece_set in pieces:
-        piece_fine = piece_set.refine(level)
-        beta_piece = StepFn(
-            level,
-            tuple(
-                c1 if i in piece_fine.members else c2
-                for i in range(2 ** level)
-            ),
-        )
-        tests.append((beta_piece, (eps / (2 * k)) * s / 4))
-    return PointwiseToProduct(
-        nbhd=PointwiseNbhd(center=center, tests=tuple(tests)),
-        target_set=b,
-        target_set_bound=eps,
-        fiber_test=alpha,
-        fiber_bound=eps,
-    )
-
-
-def verify_pointwise_to_product(
-    cert: PointwiseToProduct, member: TildeElement
-) -> dict:
-    """Exact check that a pointwise member satisfies the product conditions."""
-    center = cert.nbhd.center
-    set_disp = (
-        center.t.image(cert.target_set)
-        .symmetric_difference(member.t.image(cert.target_set))
-        .measure
-    )
-    metric = _point_metric(center.f)
-    m = max(center.f.level, member.f.level, cert.fiber_test.level)
-    cf, mf = center.f.refine(m), member.f.refine(m)
-    al = cert.fiber_test.refine(m)
-    fiber_integral = (
-        sum(
-            (
-                metric(a(x), b(x))
-                for a, b, x in zip(cf.values, mf.values, al.values)
-            ),
-            ZERO,
-        )
-        / 2 ** m
-    )
-    return {
-        "member": cert.nbhd.contains(member),
-        "set_displacement": set_disp,
-        "set_ok": set_disp < cert.target_set_bound,
-        "fiber_integral": fiber_integral,
-        "fiber_ok": fiber_integral < cert.fiber_bound,
-    }
-
-
-def sample_members(
-    nbhd: PointwiseNbhd | ProductNbhd,
-    count: int,
-    seed: int,
-    value_pool: Sequence | None = None,
-) -> list[TildeElement]:
-    """Seeded members of a neighborhood, built by small perturbations.
-
-    Perturbs the center on interval sets of measure below the smallest
-    radius (fiber) and by conjugation-free interval swaps (transformation),
-    keeping only exact members, so the output provably lies inside the
-    neighborhood.
-    """
-    rng = random.Random(seed)
-    if isinstance(nbhd, PointwiseNbhd):
-        center = nbhd.center
-        radii = [r for _, r in nbhd.tests]
-    else:
-        center = TildeElement(nbhd.center_f, nbhd.center_t)
-        radii = [r for _, r in nbhd.value_conditions]
-        radii += [r for _, r in nbhd.set_conditions]
-    min_radius = min(radii) if radii else ONE
-    level = max(center.f.level, center.t.level, 4)
-    n = 2 ** level
-    budget = int(min_radius * n) // 2  # perturbed intervals, forced inside
-    f0 = center.f.refine(level)
-    t0 = center.t.refine(level)
-    pool = list(value_pool or [])
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 50 * count:
-        attempts += 1
-        values = list(f0.values)
-        if pool and budget > 0:
-            for i in rng.sample(range(n), min(budget, n)):
-                values[i] = rng.choice(pool)
-        perm = list(t0.perm)
-        if budget >= 2:
-            for _ in range(budget // 2):
-                i, j = rng.sample(range(n), 2)
-                perm[i], perm[j] = perm[j], perm[i]
-        cand = TildeElement(StepFn(level, tuple(values)), DyadicMPT(level, tuple(perm)))
-        if nbhd.contains(cand):
-            out.append(cand)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +371,17 @@ def format_tilde(a: TildeElement) -> str:
 
 
 def read_tilde(r: Reader) -> TildeElement:
-    """``tilde { <step> ; <mpt> }``: the fiber function, then the map."""
+    """``tilde { <step> ; <mpt> }``: the fiber function, then the map.
+    The fiber's values must all be group elements of one value kind."""
     r.expect("tilde")
     r.expect("{")
     f = read_step(r)
+    kind = type(f.values[0])
+    for v in f.values:
+        if type(v) is not kind or kind not in VALUE_KINDS:
+            raise ParseError(
+                f"expected fiber values of one group kind, got {format_value(v)!r}"
+            )
     r.expect(";")
     t = read_mpt(r)
     r.expect("}")

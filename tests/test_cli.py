@@ -299,6 +299,28 @@ def test_bad_literals_exit_2(tmp_path, capsys, command, text, message):
     assert message in capsys.readouterr().err
 
 
+def test_huge_tower_height_exits_2_at_once(tmp_path, capsys):
+    cfg = write(tmp_path, "tall.cfg", f"mpt = shift:2\nheight = {2 ** 34}\n")
+    assert main(["tower", "--config", cfg]) == 2
+    assert "exceeds the 4 intervals of level 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fiber,value",
+    [("step 0 [3]", "'3'"), ("step 1 [(), 3]", "'3'")],
+    ids=["integer-fiber", "mixed-fiber"],
+)
+def test_fiber_values_that_are_not_group_elements_exit_2(tmp_path, capsys, fiber, value):
+    cfg = write(
+        tmp_path,
+        "fiber.cfg",
+        "a = tilde { step 0 [()] ; mpt 0 0 }\n"
+        f"b = tilde {{ {fiber} ; mpt 0 0 }}\n",
+    )
+    assert main(["metrics", "--config", cfg]) == 2
+    assert f"fiber values of one group kind, got {value}" in capsys.readouterr().err
+
+
 def test_suite_with_zero_checks_fails():
     result = suite_metric_axioms(size=0)
     assert result.checks == result.failures == 0

@@ -12,7 +12,6 @@ from randlab.dyadic import (
     DyadicSet,
     delta_u,
     delta_u_prime,
-    delta_u_prime_bruteforce,
     delta_w,
     format_mpt,
     format_set,
@@ -133,6 +132,20 @@ def test_refinement_invariance():
 def test_delta_w_zero_on_equal():
     t = DyadicMPT.shift(3)
     assert delta_w(t, t) == 0
+
+
+def delta_u_prime_bruteforce(t: DyadicMPT, r: DyadicMPT) -> F:
+    """Independent oracle for ``delta_u_prime`` by subset enumeration."""
+    m = max(t.level, r.level)
+    a, b = t.refine(m), r.refine(m)
+    n = 2 ** m
+    best = 0
+    for bits in range(2 ** n):
+        s = frozenset(i for i in range(n) if bits >> i & 1)
+        ia = frozenset(a.perm[i] for i in s)
+        ib = frozenset(b.perm[i] for i in s)
+        best = max(best, len(ia ^ ib))
+    return F(best, 2 ** m)
 
 
 def test_delta_u_prime_bruteforce_agrees():
@@ -259,6 +272,14 @@ def test_periodic_approximation_rejects_odd_heights():
         periodic_approximation(DyadicMPT.shift(4), 3, F(1))
 
 
+@pytest.mark.parametrize("height", [8, 2 ** 34])
+def test_periodic_approximation_refuses_heights_past_the_interval_count(height):
+    # every cycle of a level-2 map, refined or not, has at most 4 intervals,
+    # so the height is refused before a level-34 refinement is built
+    with pytest.raises(NotAperiodic, match="exceeds the 4 intervals of level 2"):
+        periodic_approximation(DyadicMPT.shift(2), height, F(1))
+
+
 def test_exact_tower_covers_everything():
     rng = random.Random(41)
     for _ in range(10):
@@ -310,7 +331,7 @@ def test_serialization_round_trip():
     t = DyadicMPT(2, (1, 2, 3, 0))
     assert parse_mpt(format_mpt(t)).same_map(t)
     s = DyadicSet(3, frozenset({0, 5}))
-    assert parse_set(format_set(s)).same_set(s)
+    assert parse_set(format_set(s)) == s
 
 
 def test_parser_rejects_non_bijection():

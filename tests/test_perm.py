@@ -125,6 +125,38 @@ def test_complete_extends_a_partial_injection(p, data):
     assert rest == sorted(rest)
 
 
+def complete_by_sets(assignment, width):
+    """Oracle for ``perm.complete``: the sorted unassigned points zipped
+    with the sorted unused images."""
+    out = list(range(width))
+    for k, v in assignment.items():
+        out[k] = v
+    sources = sorted(set(range(width)) - set(assignment))
+    images = sorted(set(range(width)) - set(assignment.values()))
+    for k, v in zip(sources, images):
+        out[k] = v
+    return tuple(out)
+
+
+partial_injections = st.integers(0, 40).flatmap(
+    lambda w: st.integers(0, min(8, w)).flatmap(
+        lambda k: st.tuples(
+            st.permutations(range(w)).map(lambda p: p[:k]),
+            st.permutations(range(w)).map(lambda p: p[:k]),
+            st.just(w),
+        )
+    )
+)
+
+
+@small
+@given(partial_injections)
+def test_complete_matches_the_set_formula(case):
+    sources, images, width = case
+    assignment = dict(zip(sources, images))
+    assert perm.complete(assignment, width) == complete_by_sets(assignment, width)
+
+
 @small
 @given(same_width)
 def test_conjugator_pairs_equal_cycle_types(ts):

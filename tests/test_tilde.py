@@ -13,30 +13,23 @@ from randlab.corpus import (
     rand_step_isometry,
     rand_step_nat,
     rand_step_perm,
-    rand_step_points,
     rand_tilde_perm,
 )
-from randlab.dyadic import DyadicMPT, DyadicSet, delta_u
+from randlab.dyadic import DyadicMPT
 from randlab.errors import DegenerateSpace, MismatchedSpace, NotDiscrete
-from randlab.groups import E, WindowPerm, parse_cycles, perm_du
+from randlab.groups import E, WindowPerm, parse_cycles
 from randlab.spaces import discrete_space, isometry_group, space_identity
 from randlab.stepfn import StepFn, dhat
 from randlab.tilde import (
-    PointwiseNbhd,
-    ProductNbhd,
     TildeElement,
     format_tilde,
     lu_bounds,
     lu_estimate,
     lu_exact_discrete,
-    nbhd_pointwise_to_product,
-    nbhd_product_to_pointwise,
     parse_tilde,
     pointwise_metric,
-    sample_members,
     tilde_act,
     tilde_identity,
-    verify_pointwise_to_product,
 )
 
 
@@ -241,61 +234,6 @@ def test_general_case_sandwich():
         # product equivalence: max form below, sum form above
         assert bounds.alt_lower == F(1, 8) * max(aut_mass, dhat_u)
         assert bounds.upper <= dhat_u + aut_mass
-
-
-def test_nbhd_product_to_pointwise_containment():
-    rng = random.Random(43)
-    space_alpha = StepFn(2, (0, 0, 1, 1))
-    center = rand_tilde_perm(rng, 2, 4)
-    eps = F(1, 2)
-    box = nbhd_product_to_pointwise(center, space_alpha, eps)
-    assert len(box.value_conditions) == 2  # two distinct values
-    assert all(bound == eps / 4 for _, bound in box.value_conditions)
-    members = sample_members(box, 20, seed=7, value_pool=[E, parse_cycles("(0 1)")])
-    assert members
-    for m in members:
-        assert PointwiseNbhd(center, ((space_alpha, eps),)).residuals(m)[0] < eps
-
-
-def test_nbhd_product_to_pointwise_whole_group():
-    center = tilde_identity(E, 2)
-    # per-factor bounds above the diameter accept everything
-    box = nbhd_product_to_pointwise(center, StepFn.constant(0, 2), F(4))
-    far = TildeElement(StepFn.constant(parse_cycles("(0 1)"), 2), DyadicMPT.shift(2))
-    assert box.contains(far)
-
-
-def test_nbhd_pointwise_to_product_certificates():
-    rng = random.Random(47)
-    center = rand_tilde_perm(rng, 3, 4)
-    b = DyadicSet(3, frozenset({0, 1, 5}))
-    alpha = rand_step_nat(rng, 3, 3)
-    cert = nbhd_pointwise_to_product(center, b, alpha, F(1, 4), 0, 1)
-    assert cert.nbhd.tests[0][1] == F(1, 16)  # eps * s / 4 with s = 1
-    members = sample_members(cert.nbhd, 15, seed=11)
-    assert members
-    for m in members:
-        out = verify_pointwise_to_product(cert, m)
-        assert out["member"] and out["set_ok"] and out["fiber_ok"]
-
-
-def test_nbhd_pointwise_to_product_empty_set():
-    rng = random.Random(53)
-    center = rand_tilde_perm(rng, 2, 4)
-    cert = nbhd_pointwise_to_product(
-        center, DyadicSet.empty(2), rand_step_nat(rng, 2, 3), F(1, 4), 0, 1
-    )
-    out = verify_pointwise_to_product(cert, center)
-    assert out["set_displacement"] == 0 and out["set_ok"]
-
-
-def test_nbhd_pointwise_to_product_needs_separated_points():
-    rng = random.Random(53)
-    center = rand_tilde_perm(rng, 2, 4)
-    with pytest.raises(DegenerateSpace):
-        nbhd_pointwise_to_product(
-            center, DyadicSet.empty(2), rand_step_nat(rng, 2, 3), F(1, 4), 1, 1
-        )
 
 
 def test_one_point_space_has_no_diameter_pair():
