@@ -153,7 +153,7 @@ def cmd_metrics(cfg):
         rng = random.Random(_need_seed(cfg))
         level = _int(cfg, "level", 4, lo=0, hi=MAX_LEVEL)
         window = _int(cfg, "window", 6, lo=0, hi=MAX_WINDOW)
-        count = _int(cfg, "count", 10)
+        count = _int(cfg, "count", 10, lo=1)
         pairs = [
             (i, rand_tilde_perm(rng, level, window), rand_tilde_perm(rng, level, window))
             for i in range(count)
@@ -205,7 +205,7 @@ def cmd_tower(cfg):
 
 def cmd_synthesize(cfg):
     rng = random.Random(_need_seed(cfg))
-    count = _int(cfg, "count", 1)
+    count = _int(cfg, "count", 1, lo=1)
     level = _int(cfg, "level", 9, lo=0, hi=MAX_LEVEL)
     height = _int(cfg, "height", 8, lo=1, hi=2 ** level)
     k = _int(cfg, "k", 4, lo=1)
@@ -246,7 +246,7 @@ def cmd_synthesize(cfg):
 
 def cmd_density(cfg):
     rng = random.Random(_need_seed(cfg))
-    count = _int(cfg, "count", 10)
+    count = _int(cfg, "count", 10, lo=1)
     eps = _frac(cfg, "eps", DENSITY_EPS, positive=True)
     rows = []
     for i in range(count):
@@ -295,7 +295,7 @@ def cmd_power(cfg):
         ]
     rows = []
     rng = random.Random(_need_seed(cfg))
-    count = _int(cfg, "count", 20)
+    count = _int(cfg, "count", 20, lo=1)
     max_n = _int(cfg, "max_n", 12, lo=1)
     for i in range(count):
         p = rand_window_perm(rng, rng.randrange(2, 33))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import perm
@@ -35,6 +36,17 @@ ONE = Fraction(1)
 # Finest partition level accepted from text and config input: level 16
 # already has 65536 intervals, and every algorithm here enumerates them.
 MAX_LEVEL = 16
+
+
+def exact_sum(terms: Iterable) -> Fraction:
+    """Exact sum of ints and fractions: the numerators are added as ints
+    for each denominator, and the total is normalised once."""
+    by_denominator: dict[int, int] = {}
+    for x in terms:
+        q = x.denominator
+        by_denominator[q] = by_denominator.get(q, 0) + x.numerator
+    common = lcm(*by_denominator)
+    return Fraction(sum(n * (common // q) for q, n in by_denominator.items()), common)
 
 
 def point_interval(level: int, omega: Fraction) -> int:
@@ -258,27 +270,25 @@ def delta_u(t: DyadicMPT, r: DyadicMPT) -> Fraction:
     return Fraction(differ, 2 ** m)
 
 
-def dyadic_interval_enumeration(level: int):
-    """Canonical enumeration of dyadic intervals of level 0 .. ``level``."""
-    for lev in range(level + 1):
-        for idx in range(2 ** lev):
-            yield DyadicSet(lev, frozenset([idx]))
-
-
 def delta_w(t: DyadicMPT, r: DyadicMPT) -> Fraction:
     """Weak-topology distance: weighted set displacements.
 
-    Sums ``2**-(m+1) * mu(t(B_m) ^ r(B_m))`` over the canonical enumeration
-    of dyadic intervals up to the common level.  Dominated by
+    Sums ``2**-(k+1) * mu(t(B_k) ^ r(B_k))`` over the dyadic intervals
+    ``B_k`` of levels 0 .. ``m``, coarse levels first, then in index order
+    within a level.  Each box is a run of level-``m`` intervals, so the
+    sum is one integer numerator over ``2**(boxes + m)``.  Dominated by
     :func:`delta_u` termwise, hence ``delta_w <= delta_u`` exactly.
     """
     m = max(t.level, r.level)
-    tt, rr = t.refine(m), r.refine(m)
-    total = ZERO
-    for k, box in enumerate(dyadic_interval_enumeration(m)):
-        diff = tt.image(box).symmetric_difference(rr.image(box)).measure
-        total += Fraction(1, 2 ** (k + 1)) * diff
-    return total
+    a, b = t.refine(m).perm, r.refine(m).perm
+    n = 2 ** m
+    moved = [
+        len(set(a[lo:lo + width]) ^ set(b[lo:lo + width]))
+        for width in (n >> lev for lev in range(m + 1))
+        for lo in range(0, n, width)
+    ]
+    boxes = len(moved)
+    return Fraction(sum(d << (boxes - 1 - k) for k, d in enumerate(moved)), 2 ** (boxes + m))
 
 
 def delta_u_prime(t: DyadicMPT, r: DyadicMPT) -> Fraction:

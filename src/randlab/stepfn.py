@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import perm
-from .dyadic import DyadicMPT, DyadicSet, _checked_level, read_level
+from .dyadic import DyadicMPT, DyadicSet, _checked_level, exact_sum, read_level
 from .errors import (
     CertificateError,
     MismatchedSpace,
@@ -150,13 +150,17 @@ def zip_values(f: StepFn, h: StepFn):
 
 
 def _check_same_kind(f: StepFn, h: StepFn) -> None:
-    a, b = f.values[0], h.values[0]
-    if type(a) is not type(b):
+    """Refuse values of mixed types, or isometries of different spaces."""
+    values = f.values + h.values
+    kinds = set(map(type, values))
+    if len(kinds) > 1:
         raise MismatchedSpace(
-            f"values of kind {type(a).__name__} vs {type(b).__name__}"
+            "values of kind " + " vs ".join(sorted(k.__name__ for k in kinds))
         )
-    if isinstance(a, SpaceIsometry) and a.space != b.space:
-        raise MismatchedSpace("isometries of different spaces")
+    if SpaceIsometry in kinds:
+        first, *rest = {id(v.space): v.space for v in values}.values()
+        if any(space != first for space in rest):
+            raise MismatchedSpace("isometries of different spaces")
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +171,7 @@ def dhat(f: StepFn, h: StepFn, metric: Metric) -> Fraction:
     """Integral over [0,1) of the pointwise distance, exactly."""
     _check_same_kind(f, h)
     m, fv, hv = zip_values(f, h)
-    total = sum((metric(a, b) for a, b in zip(fv, hv)), Fraction(0))
-    return total / 2 ** m
+    return exact_sum(map(metric, fv, hv)) / 2 ** m
 
 
 # ---------------------------------------------------------------------------

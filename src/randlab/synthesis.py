@@ -35,6 +35,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import perm
 from .dyadic import (
+    ZERO,
     DyadicMPT,
     TowerData,
     _exact_conjugator,
@@ -57,8 +58,6 @@ from .tilde import (
     lu_bounds,
     lu_exact_discrete,
 )
-
-ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dyadic import DyadicMPT, DyadicSet, format_mpt, read_mpt
+from .dyadic import ZERO, DyadicMPT, DyadicSet, exact_sum, format_mpt, read_mpt
 from .errors import CertificateError, MismatchedSpace, NotDiscrete, ParseError
 from .groups import E
 from .stepfn import (
@@ -33,8 +33,6 @@ from .stepfn import (
     zip_values,
 )
 from .text import Reader, parse
-
-ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +115,11 @@ def pointwise_metric(a: TildeElement, b: TildeElement, budget: int = 64) -> Frac
     v = a.f.values[0]
     kind = value_kind(v)
     metric = kind.point_metric(v)
-    total = ZERO
-    for m, alpha in enumerate(enumerate_test_functions(kind.marked_points(v))):
-        if m >= budget:
-            break
-        d = dhat(tilde_act(a, alpha), tilde_act(b, alpha), metric)
-        total += Fraction(1, 2 ** (m + 1)) * d
-    return total
+    tests = itertools.islice(enumerate_test_functions(kind.marked_points(v)), budget)
+    return exact_sum(
+        dhat(tilde_act(a, alpha), tilde_act(b, alpha), metric) / 2 ** (m + 1)
+        for m, alpha in enumerate(tests)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +139,11 @@ class ProductNbhd:
     def fiber_residuals(self, f: StepFn) -> list[Fraction]:
         v = self.center_f.values[0]
         metric = value_kind(v).point_metric(v)
-        out = []
-        for point, _ in self.value_conditions:
-            m, cv, fv = zip_values(self.center_f, f)
-            total = sum(
-                (metric(a(point), b(point)) for a, b in zip(cv, fv)), ZERO
-            )
-            out.append(total / 2 ** m)
-        return out
+        m, cv, fv = zip_values(self.center_f, f)
+        return [
+            exact_sum(metric(a(point), b(point)) for a, b in zip(cv, fv)) / 2 ** m
+            for point, _ in self.value_conditions
+        ]
 
     def aut_residuals(self, t: DyadicMPT) -> list[Fraction]:
         return [
@@ -221,17 +214,11 @@ def lu_bounds(a: TildeElement, b: TildeElement) -> LuBounds:
     level = max(c.f.level, c.t.level)
     f, t = c.f.refine(level), c.t.refine(level)
     ident = kind.identity(v0)
-    moving = ZERO
-    fixed_integral = ZERO
-    dhat_u_fiber = ZERO
-    w = Fraction(1, 2 ** level)
-    for i in range(2 ** level):
-        dist = du(f.values[i], ident)
-        dhat_u_fiber += dist * w
-        if t.perm[i] != i:
-            moving += w
-        elif dist > 0:
-            fixed_integral += dist * w
+    dists = [du(v, ident) for v in f.values]
+    fixed = [i == j for i, j in enumerate(t.perm)]
+    moving = Fraction(fixed.count(False), 2 ** level)
+    fixed_integral = exact_sum(itertools.compress(dists, fixed)) / 2 ** level
+    dhat_u_fiber = exact_sum(dists) / 2 ** level
     lower = (r / 8) * moving + fixed_integral
     upper = moving + fixed_integral
     alt_lower = (r / 8) * max(moving, dhat_u_fiber)

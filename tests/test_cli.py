@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from randlab import dyadic, suites
+from randlab import cli, dyadic, suites
 from randlab.cli import config_digest, main, parse_config, run_command
 from randlab.dyadic import MAX_LEVEL
 from randlab.errors import ConfigError
@@ -197,8 +197,11 @@ def test_certificate_reports_keep_runtime_last():
     assert strip_runtime(rep1) == strip_runtime(rep2)
 
 
-def test_empty_report_fails():
-    status, _ = run_command("metrics", {"count": "-1", "seed": "1"})
+def test_empty_report_fails(monkeypatch):
+    # every count is at least 1, so no config yields an empty report; a
+    # command that returns no rows stands in for one
+    monkeypatch.setitem(cli.COMMANDS, "metrics", (lambda cfg: [], {"count"}))
+    status, _ = run_command("metrics", {"count": "1", "seed": "1"})
     assert status == 1
 
 
@@ -221,6 +224,10 @@ def test_bad_mpt_levels_are_config_errors(tmp_path, capsys, value):
         ("metrics", "seed = 1\nlevel = -1\n"),
         ("verify", "scale = -1\n"),
         ("verify", "scale = 0\n"),
+        ("metrics", "seed = 1\ncount = 0\n"),
+        ("synthesize", "seed = 1\ncount = 0\n"),
+        ("density", "seed = 1\ncount = 0\n"),
+        ("power", "seed = 1\ncount = -3\n"),
     ],
 )
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, command, text):

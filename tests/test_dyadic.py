@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from randlab.dyadic import (
     MAX_LEVEL,
@@ -13,6 +15,7 @@ from randlab.dyadic import (
     delta_u,
     delta_u_prime,
     delta_w,
+    exact_sum,
     format_mpt,
     format_set,
     mpt_conjugate_match,
@@ -169,6 +172,44 @@ def test_delta_w_dominated_by_delta_u():
     for _ in range(100):
         t, r = rand_mpt(rng, 4), rand_mpt(rng, 4)
         assert delta_w(t, r) <= delta_u(t, r)
+
+
+def delta_w_by_boxes(t: DyadicMPT, r: DyadicMPT) -> F:
+    """Oracle for ``delta_w``: each box as a ``DyadicSet``, its images
+    through ``image`` and ``symmetric_difference``, summed one ``Fraction``
+    at a time."""
+    m = max(t.level, r.level)
+    tt, rr = t.refine(m), r.refine(m)
+    boxes = (DyadicSet(lev, frozenset([i])) for lev in range(m + 1) for i in range(2 ** lev))
+    total = F(0)
+    for k, box in enumerate(boxes):
+        diff = tt.image(box).symmetric_difference(rr.image(box)).measure
+        total += F(1, 2 ** (k + 1)) * diff
+    return total
+
+
+small = settings(max_examples=60, derandomize=True, deadline=None)
+mpts = st.integers(0, 6).flatmap(
+    lambda m: st.permutations(range(2 ** m)).map(lambda p: DyadicMPT(m, tuple(p)))
+)
+
+
+@small
+@given(mpts, mpts)
+def test_delta_w_matches_the_box_by_box_sum(t, r):
+    # the two maps are drawn at their own levels, often unequal ones
+    w = delta_w(t, r)
+    assert w == delta_w_by_boxes(t, r)
+    assert w == delta_w(r, t)
+    assert w <= delta_u(t, r)
+
+
+@small
+@given(st.lists(st.one_of(st.integers(-40, 40), st.fractions(max_denominator=48)), max_size=24))
+@example([])
+def test_exact_sum_matches_the_fraction_sum(terms):
+    total = exact_sum(iter(terms))
+    assert type(total) is F and total == sum(terms, F(0))
 
 
 def test_tower_full_cycle_exact():

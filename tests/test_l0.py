@@ -40,6 +40,19 @@ def test_dhat_rejects_mixed_kinds():
         dhat(StepFn.constant(E), StepFn.constant(3), perm_du)
 
 
+def test_mixed_values_past_the_first_interval_are_refused():
+    # every value on both sides is checked, not only the first of each
+    mixed = StepFn(1, (E, 3))
+    three, four = isometry_group(equilateral_space(3)), isometry_group(equilateral_space(4))
+    two_spaces = StepFn(1, (three[0], four[0]))
+    for f, h in ((mixed, StepFn.constant(E, 1)), (two_spaces, StepFn.constant(three[0], 1))):
+        for g, k in ((f, h), (h, f)):
+            with pytest.raises(MismatchedSpace):
+                dhat(g, k, lambda a, b: F(0))
+            with pytest.raises(MismatchedSpace):
+                l0_mul(g, k)
+
+
 def test_metric_axioms_random_triples():
     rng = random.Random(3)
     for _ in range(80):

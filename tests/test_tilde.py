@@ -33,6 +33,14 @@ from randlab.tilde import (
 )
 
 
+@pytest.mark.parametrize("uniform", [lu_bounds, lu_exact_discrete])
+def test_uniform_metrics_refuse_a_fiber_of_mixed_kinds(uniform):
+    # the first value is a permutation, so only the full check sees the int
+    a = TildeElement(StepFn(1, (E, 3)), DyadicMPT.identity(1))
+    with pytest.raises(MismatchedSpace):
+        uniform(a, tilde_identity(E, 1))
+
+
 def test_product_trivial_cases():
     rng = random.Random(3)
     t, s = rand_mpt(rng, 3), rand_mpt(rng, 3)
