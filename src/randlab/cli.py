@@ -44,12 +44,7 @@ from .suites import (
     synthesis_case,
 )
 from .text import format_fraction, parse_fraction
-from .tilde import (
-    lu_estimate,
-    lu_exact_discrete,
-    parse_tilde,
-    pointwise_metric,
-)
+from .tilde import parse_tilde, reduce_pair
 
 F = Fraction
 
@@ -160,8 +155,9 @@ def cmd_metrics(cfg):
         ]
     budget = _int(cfg, "pointwise_budget", 24, lo=1)
     for i, a, b in pairs:
-        exact = lu_exact_discrete(a, b)
-        est = lu_estimate(a, b)
+        pair = reduce_pair(a, b)
+        exact = pair.lu_exact_discrete()
+        est = pair.lu_estimate()
         rows.append(
             {
                 "id": i,
@@ -170,7 +166,7 @@ def cmd_metrics(cfg):
                 "delta_u": fmt(delta_u(a.t, b.t)),
                 "delta_u_prime": fmt(delta_u_prime(a.t, b.t)),
                 "delta_w": fmt(delta_w(a.t, b.t)),
-                "pointwise": fmt(pointwise_metric(a, b, budget=budget)),
+                "pointwise": fmt(pair.pointwise_metric(budget)),
                 "lu_exact": fmt(exact),
                 "lu_lower": fmt(est.lower),
                 "lu_upper": fmt(est.upper),

@@ -14,6 +14,10 @@ class NotAnIndex(RandlabError, ValueError):
     nonnegative plain ``int``."""
 
 
+class BadBudget(RandlabError, ValueError):
+    """A count of test functions to evaluate is not an ``int`` in range."""
+
+
 class MismatchedSpace(RandlabError):
     """Operands live over different value spaces or groups."""
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Hashable, Mapping
 
 from . import perm
+from .dyadic import ONE, ZERO
 from .errors import DegenerateSpace, MismatchedSpace
 
 
@@ -46,12 +47,20 @@ class FiniteMetricSpace:
                 for k in range(n):
                     if d[i][k] > d[i][j] + d[j][k]:
                         raise ValueError("triangle inequality fails")
+        # not a field, so equality, hashing and repr read only the above
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(pts)})
 
     def index(self, p: Hashable) -> int:
-        return self.points.index(p)
+        try:
+            return self._index[p]
+        except (KeyError, TypeError):
+            raise MismatchedSpace(f"{p!r} is not a point of the space") from None
 
     def d(self, p: Hashable, q: Hashable) -> Fraction:
-        return self.distances[self.index(p)][self.index(q)]
+        try:
+            return self.distances[self._index[p]][self._index[q]]
+        except (KeyError, TypeError):
+            raise MismatchedSpace(f"{p!r} or {q!r} is not a point of the space") from None
 
     def diameter_pair(self) -> tuple[Hashable, Hashable, Fraction]:
         """A maximal-distance pair (first in point order) and its distance."""
@@ -158,4 +167,4 @@ def isometry_du(a: SpaceIsometry, b: SpaceIsometry) -> Fraction:
 
 def nat_discrete(a: int, b: int) -> Fraction:
     """Discrete metric on the naturals."""
-    return Fraction(0) if a == b else Fraction(1)
+    return ZERO if a == b else ONE

@@ -62,7 +62,7 @@ VALUE_KINDS = {
         identity=lambda v: E,
         marked_points=lambda v: tuple(range(4)),
         diameter=lambda v: Fraction(1),
-        acts_on=lambda v, p: isinstance(p, int),
+        acts_on=lambda v, p: type(p) is int and p >= 0,
     ),
     SpaceIsometry: ValueKind(
         discrete=False,

@@ -18,12 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dyadic import ZERO, DyadicMPT, DyadicSet, exact_sum, format_mpt, read_mpt
-from .errors import CertificateError, MismatchedSpace, NotDiscrete, ParseError
+from .dyadic import DyadicMPT, DyadicSet, exact_sum, format_mpt, read_mpt
+from .errors import BadBudget, CertificateError, MismatchedSpace, NotDiscrete, ParseError
 from .groups import E
 from .stepfn import (
     VALUE_KINDS,
     StepFn,
+    ValueKind,
+    _check_same_kind,
     dhat,
     format_step,
     format_value,
@@ -80,17 +82,23 @@ def tilde_identity(value_identity=E, level: int = 0) -> TildeElement:
 
 def tilde_act(a: TildeElement, alpha: StepFn) -> StepFn:
     """Apply the isometry: value at interval i is ``f_i(alpha(T**-1 i))``."""
-    m = max(a.f.level, a.t.level, alpha.level)
-    f, t, al = a.f.refine(m), a.t.refine(m), alpha.refine(m)
-    inv = t.inverse().perm
-    v, point = f.values[0], al.values[0]
-    if not value_kind(v).acts_on(v, point):
-        raise MismatchedSpace(
-            f"{type(v).__name__} values do not act on the point {point!r}"
-        )
-    return StepFn(
-        m, tuple(f.values[i](al.values[inv[i]]) for i in range(2 ** m))
-    )
+    return _act(a.f, a.t.inverse(), alpha)
+
+
+def _act(f: StepFn, t_inv: DyadicMPT, alpha: StepFn) -> StepFn:
+    """``f_i(alpha(t_inv(i)))`` at the finest of the three levels, once the
+    fiber is known to act on every point ``alpha`` takes."""
+    v = f.values[0]
+    kind = value_kind(v)
+    # keyed by type too, so that True is not folded into 1
+    for _, point in set(zip(map(type, alpha.values), alpha.values)):
+        if not kind.acts_on(v, point):
+            raise MismatchedSpace(
+                f"{type(v).__name__} values do not act on the point {point!r}"
+            )
+    m = max(f.level, t_inv.level, alpha.level)
+    fv, inv, al = f.refine(m).values, t_inv.refine(m).perm, alpha.refine(m).values
+    return StepFn(m, tuple(fv[i](al[inv[i]]) for i in range(2 ** m)))
 
 
 # ---------------------------------------------------------------------------
@@ -106,20 +114,13 @@ def enumerate_test_functions(marked: Sequence):
 
 
 def pointwise_metric(a: TildeElement, b: TildeElement, budget: int = 64) -> Fraction:
-    """Weighted sum of action displacements over the canonical test family
-    on the first four marked points of the space.
+    """The :meth:`ReducedPair.pointwise_metric` of ``(a, b)``."""
+    return reduce_pair(a, b).pointwise_metric(budget)
 
-    Truncated at ``budget`` test functions; the discarded tail is bounded
-    by ``2**-budget`` since every displacement is at most one.
-    """
-    v = a.f.values[0]
-    kind = value_kind(v)
-    metric = kind.point_metric(v)
-    tests = itertools.islice(enumerate_test_functions(kind.marked_points(v)), budget)
-    return exact_sum(
-        dhat(tilde_act(a, alpha), tilde_act(b, alpha), metric) / 2 ** (m + 1)
-        for m, alpha in enumerate(tests)
-    )
+
+def _check_budget(budget, least: int) -> None:
+    if type(budget) is not int or budget < least:
+        raise BadBudget(f"budget must be an int >= {least}, got {budget!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,25 +166,192 @@ class ProductNbhd:
 # The uniform metric
 # ---------------------------------------------------------------------------
 
-def _reduce_pair(a: TildeElement, b: TildeElement) -> TildeElement:
-    """Bi-invariance reduction: distance of (a, b) equals distance of
-    (b**-1 a, identity)."""
-    return b.inverse() * a
+@dataclass(frozen=True)
+class ReducedPair:
+    """A pair ``(a, b)`` reduced by bi-invariance to ``c = b**-1 a``.
 
-
-def lu_exact_discrete(a: TildeElement, b: TildeElement) -> Fraction:
-    """Uniform distance over a discrete acted-on space, exactly.
-
-    Reduces by bi-invariance to ``(h, R) = b**-1 a`` against the identity
-    and returns ``mu({h != e} union {R != id})``.
+    The uniform and pointwise distances of ``(a, b)`` are those of ``c``
+    and the identity.  ``f`` and ``t`` are ``c``'s fiber and map refined to
+    one level and ``t_inv`` is that map's inverse, so the four metrics below
+    share one reduction, one refinement and one inverse.
     """
-    if not value_kind(a.f.values[0]).discrete:
-        raise NotDiscrete(
-            "exact formula needs the discrete naturals; use lu_bounds"
+
+    kind: ValueKind
+    c: TildeElement
+    f: StepFn
+    t: DyadicMPT
+    t_inv: DyadicMPT
+
+    @property
+    def level(self) -> int:
+        return self.f.level
+
+    def act(self, alpha: StepFn) -> StepFn:
+        """The point-valued step function ``c alpha``."""
+        return _act(self.f, self.t_inv, alpha)
+
+    def pointwise_metric(self, budget: int = 64) -> Fraction:
+        """Weighted sum of action displacements over the canonical test
+        family on the first four marked points of the space.
+
+        The group acts by isometries, so ``dhat(a alpha, b alpha) =
+        dhat(c alpha, alpha)``: one action per test function.  Truncated at
+        ``budget`` test functions; the discarded tail is bounded by
+        ``2**-budget`` since every displacement is at most one.
+        """
+        _check_budget(budget, 0)
+        v = self.f.values[0]
+        metric = self.kind.point_metric(v)
+        tests = itertools.islice(
+            enumerate_test_functions(self.kind.marked_points(v)), budget
         )
-    c = _reduce_pair(a, b)
-    bad = c.fiber_support().union(c.aut_support())
-    return bad.measure
+        return exact_sum(
+            dhat(self.act(alpha), alpha, metric) / 2 ** (m + 1)
+            for m, alpha in enumerate(tests)
+        )
+
+    def lu_exact_discrete(self) -> Fraction:
+        """Uniform distance over a discrete acted-on space, exactly:
+        ``mu({h != e} union {R != id})`` with ``(h, R) = c``."""
+        if not self.kind.discrete:
+            raise NotDiscrete(
+                "exact formula needs the discrete naturals; use lu_bounds"
+            )
+        return self.c.fiber_support().union(self.c.aut_support()).measure
+
+    def lu_bounds(self) -> "LuBounds":
+        """Two-sided bounds for the uniform distance via the moving set.
+
+        With ``(h, R) = c``, ``B = {R != id}`` and ``A = {h != e, R
+        fixes}``, the distance lies between ``(r/8) mu(B) + int_A d_u(h,
+        e)`` and ``mu(B) + int_A d_u(h, e)`` where ``r`` is the distance of
+        a maximal-distance anchor pair of the space.
+        """
+        kind, v0 = self.kind, self.f.values[0]
+        r = kind.diameter(v0)
+        ident = kind.identity(v0)
+        n = 2 ** self.level
+        dists = [kind.du(v, ident) for v in self.f.values]
+        fixed = [i == j for i, j in enumerate(self.t.perm)]
+        moving = Fraction(fixed.count(False), n)
+        fixed_integral = exact_sum(itertools.compress(dists, fixed)) / n
+        dhat_u_fiber = exact_sum(dists) / n
+        lower = (r / 8) * moving + fixed_integral
+        upper = moving + fixed_integral
+        alt_lower = (r / 8) * max(moving, dhat_u_fiber)
+        if not alt_lower <= lower <= upper:
+            raise CertificateError("sandwich bounds out of order")
+        return LuBounds(
+            lower=lower,
+            upper=upper,
+            alt_lower=alt_lower,
+            moving_measure=moving,
+            fixed_fiber_integral=fixed_integral,
+            anchor_distance=r,
+        )
+
+    def witnesses(self, budget: int = 16, seed: int = 0) -> list[StepFn]:
+        """The test functions :meth:`lu_estimate` evaluates.
+
+        Over a discrete space one witness reaches ``mu({h != e} union {R !=
+        id})``, which bounds every displacement, so it is the only one and
+        ``budget`` and ``seed`` are not used.  Over a metric space the
+        deterministic family reaches the sandwich lower bound, and
+        ``budget`` seeded random test functions join it.
+        """
+        if self.kind.discrete:
+            return [self._discrete_witness()]
+        witnesses = self._metric_witnesses()
+        rng = random.Random(seed)
+        points = self.f.values[0].space.points
+        for _ in range(budget):
+            witnesses.append(
+                StepFn(self.level, tuple(rng.choice(points) for _ in range(2 ** self.level)))
+            )
+        return witnesses
+
+    def lu_estimate(self, budget: int = 16, seed: int = 0) -> "LuEstimate":
+        """Best action displacement over :meth:`witnesses`: an exact lower
+        bound for the uniform distance, with the sandwich of the same ``c``."""
+        _check_budget(budget, 1)
+        metric = self.kind.point_metric(self.f.values[0])
+        best = max(
+            dhat(self.act(alpha), alpha, metric) for alpha in self.witnesses(budget, seed)
+        )
+        bounds = self.lu_bounds()
+        est = LuEstimate(value=best, lower=bounds.lower, upper=bounds.upper)
+        if not est.consistent():
+            raise CertificateError("witness estimate outside the sandwich bounds")
+        return est
+
+    def _discrete_witness(self) -> StepFn:
+        """Witness realizing the exact discrete formula.
+
+        On fixed intervals with nontrivial fiber value it picks the least
+        displaced point; along each cycle of the transformation it places
+        value 0 at the cycle head and fresh values (positive and beyond
+        every window of the fiber, so fixed by every represented
+        permutation) at the later positions, so each link of the cycle
+        disagrees.
+        """
+        f, t = self.f.values, self.t
+        top = max(1, *(v.window for v in f))
+        values = [0] * 2 ** self.level
+        for i, v in enumerate(f):
+            if t.perm[i] == i and not v.is_identity():
+                values[i] = min(v.support())
+        for cy in t.cycles():
+            for pos, i in enumerate(cy):
+                values[i] = top + pos - 1 if pos else 0
+        return StepFn(self.level, tuple(values))
+
+    def _metric_witnesses(self) -> list[StepFn]:
+        """Deterministic witnesses achieving the sandwich lower bound.
+
+        On fixed intervals the witness picks a farthest-moved point of the
+        fiber value (the uniform distance is attained on a finite space).
+        Along each cycle it walks greedily through the anchor pair {x1,
+        x2}, choosing the next value to be far from the image of the
+        previous one; the triangle inequality makes every inner link
+        contribute at least r/2, so a cycle of length L contributes at
+        least (L-1) r/2 >= L r/4.
+        """
+        f, t = self.f.values, self.t
+        space = f[0].space
+        x1, x2, r = space.diameter_pair()
+        d = space.d
+        level = self.level
+        values = [x1] * 2 ** level
+        for i in range(2 ** level):
+            if t.perm[i] == i:
+                v = f[i]
+                values[i] = max(space.points, key=lambda p: (d(v(p), p), space.index(p)))
+        for cy in t.cycles():
+            values[cy[0]] = x1
+            for prev, cur in zip(cy, cy[1:]):
+                image = f[cur](values[prev])
+                values[cur] = x1 if d(image, x1) >= d(image, x2) else x2
+        witnesses = [StepFn(level, tuple(values))]
+        # constant and alternating functions per the two-case argument
+        witnesses.append(StepFn.constant(x1, level))
+        witnesses.append(StepFn.constant(x2, level))
+        alt = [x1] * 2 ** level
+        for cy in t.cycles():
+            for pos, i in enumerate(cy):
+                alt[i] = x1 if pos % 2 == 0 else x2
+        witnesses.append(StepFn(level, tuple(alt)))
+        return witnesses
+
+
+def reduce_pair(a: TildeElement, b: TildeElement) -> ReducedPair:
+    """Reduce ``(a, b)`` once.  The fiber kinds of both are checked before
+    anything is inverted, so a mismatch is a :class:`MismatchedSpace`."""
+    kind = value_kind(a.f.values[0])
+    _check_same_kind(a.f, b.f)
+    c = b.inverse() * a
+    level = max(c.f.level, c.t.level)
+    t = c.t.refine(level)
+    return ReducedPair(kind, c, c.f.refine(level), t, t.inverse())
 
 
 @dataclass(frozen=True)
@@ -198,105 +366,6 @@ class LuBounds:
     anchor_distance: Fraction    # r
 
 
-def lu_bounds(a: TildeElement, b: TildeElement) -> LuBounds:
-    """Two-sided bounds for the uniform distance via the moving set.
-
-    With ``(h, R) = b**-1 a``, ``B = {R != id}`` and ``A = {h != e, R
-    fixes}``, the distance lies between ``(r/8) mu(B) + int_A d_u(h, e)``
-    and ``mu(B) + int_A d_u(h, e)`` where ``r`` is the distance of a
-    maximal-distance anchor pair of the space.
-    """
-    kind = value_kind(a.f.values[0])
-    c = _reduce_pair(a, b)
-    du = kind.du
-    v0 = c.f.values[0]
-    r = kind.diameter(v0)
-    level = max(c.f.level, c.t.level)
-    f, t = c.f.refine(level), c.t.refine(level)
-    ident = kind.identity(v0)
-    dists = [du(v, ident) for v in f.values]
-    fixed = [i == j for i, j in enumerate(t.perm)]
-    moving = Fraction(fixed.count(False), 2 ** level)
-    fixed_integral = exact_sum(itertools.compress(dists, fixed)) / 2 ** level
-    dhat_u_fiber = exact_sum(dists) / 2 ** level
-    lower = (r / 8) * moving + fixed_integral
-    upper = moving + fixed_integral
-    alt_lower = (r / 8) * max(moving, dhat_u_fiber)
-    if not alt_lower <= lower <= upper:
-        raise CertificateError("sandwich bounds out of order")
-    return LuBounds(
-        lower=lower,
-        upper=upper,
-        alt_lower=alt_lower,
-        moving_measure=moving,
-        fixed_fiber_integral=fixed_integral,
-        anchor_distance=r,
-    )
-
-
-# -- witness families ---------------------------------------------------------
-
-def _discrete_witness(c: TildeElement) -> StepFn:
-    """Witness realizing the exact discrete formula.
-
-    On fixed intervals with nontrivial fiber value it picks the least
-    displaced point; along each cycle of the transformation it places value
-    0 at the cycle head and fresh values (positive and beyond every window
-    of the fiber, so fixed by every represented permutation) at the later
-    positions, so each link of the cycle disagrees.
-    """
-    level = max(c.f.level, c.t.level)
-    f, t = c.f.refine(level), c.t.refine(level)
-    top = max(1, *(v.window for v in c.f.values))
-    values = [0] * 2 ** level
-    for i in range(2 ** level):
-        v = f.values[i]
-        if t.perm[i] == i and not v.is_identity():
-            values[i] = min(v.support())
-    for cy in t.cycles():
-        for pos, i in enumerate(cy):
-            values[i] = top + pos - 1 if pos else 0
-    return StepFn(level, tuple(values))
-
-
-def _metric_witnesses(c: TildeElement) -> list[StepFn]:
-    """Deterministic witnesses achieving the sandwich lower bound.
-
-    On fixed intervals the witness picks a farthest-moved point of the
-    fiber value (the uniform distance is attained on a finite space).
-    Along each cycle it walks greedily through the anchor pair {x1, x2},
-    choosing the next value to be far from the image of the previous one;
-    the triangle inequality makes every inner link contribute at least
-    r/2, so a cycle of length L contributes at least (L-1) r/2 >= L r/4.
-    """
-    v0 = c.f.values[0]
-    space = v0.space
-    x1, x2, r = space.diameter_pair()
-    d = space.d
-    level = max(c.f.level, c.t.level)
-    f, t = c.f.refine(level), c.t.refine(level)
-    values = [x1] * 2 ** level
-    for i in range(2 ** level):
-        if t.perm[i] == i:
-            v = f.values[i]
-            values[i] = max(space.points, key=lambda p: (d(v(p), p), space.points.index(p)))
-    for cy in t.cycles():
-        values[cy[0]] = x1
-        for prev, cur in zip(cy, cy[1:]):
-            image = f.values[cur](values[prev])
-            values[cur] = x1 if d(image, x1) >= d(image, x2) else x2
-    witnesses = [StepFn(level, tuple(values))]
-    # constant and alternating functions per the two-case argument
-    witnesses.append(StepFn.constant(x1, level))
-    witnesses.append(StepFn.constant(x2, level))
-    alt = [x1] * 2 ** level
-    for cy in t.cycles():
-        for pos, i in enumerate(cy):
-            alt[i] = x1 if pos % 2 == 0 else x2
-    witnesses.append(StepFn(level, tuple(alt)))
-    return witnesses
-
-
 @dataclass(frozen=True)
 class LuEstimate:
     """Witness-family lower estimate with its companion upper bound."""
@@ -309,44 +378,21 @@ class LuEstimate:
         return self.lower <= self.value <= self.upper
 
 
+def lu_exact_discrete(a: TildeElement, b: TildeElement) -> Fraction:
+    """The :meth:`ReducedPair.lu_exact_discrete` of ``(a, b)``."""
+    return reduce_pair(a, b).lu_exact_discrete()
+
+
+def lu_bounds(a: TildeElement, b: TildeElement) -> LuBounds:
+    """The :meth:`ReducedPair.lu_bounds` of ``(a, b)``."""
+    return reduce_pair(a, b).lu_bounds()
+
+
 def lu_estimate(
     a: TildeElement, b: TildeElement, budget: int = 16, seed: int = 0
 ) -> LuEstimate:
-    """Best action displacement over explicit witness test functions.
-
-    The result is an exact lower bound for the uniform distance.  Over a
-    discrete space one witness reaches ``mu({h != e} union {R != id})``,
-    which bounds every displacement, so it is the only one evaluated and
-    ``budget`` and ``seed`` are not used.  Over a metric space the
-    deterministic family reaches the sandwich lower bound, and ``budget``
-    seeded random test functions join it.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    c = _reduce_pair(a, b)
-    v0 = c.f.values[0]
-    kind = value_kind(v0)
-    metric = kind.point_metric(v0)
-    if kind.discrete:
-        witnesses = [_discrete_witness(c)]
-    else:
-        witnesses = _metric_witnesses(c)
-        rng = random.Random(seed)
-        level = max(c.f.level, c.t.level)
-        points = v0.space.points
-        for _ in range(budget):
-            witnesses.append(
-                StepFn(level, tuple(rng.choice(points) for _ in range(2 ** level)))
-            )
-    best = ZERO
-    for alpha in witnesses:
-        moved = tilde_act(c, alpha)
-        best = max(best, dhat(moved, alpha, metric))
-    bounds = lu_bounds(a, b)
-    est = LuEstimate(value=best, lower=bounds.lower, upper=bounds.upper)
-    if not est.consistent():
-        raise CertificateError("witness estimate outside the sandwich bounds")
-    return est
+    """The :meth:`ReducedPair.lu_estimate` of ``(a, b)``."""
+    return reduce_pair(a, b).lu_estimate(budget, seed)
 
 
 # ---------------------------------------------------------------------------

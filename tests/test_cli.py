@@ -20,6 +20,7 @@ from randlab.suites import (
     neighborhood_case,
     suite_metric_axioms,
 )
+from randlab.tilde import TildeElement
 
 
 def write(tmp_path, name, text):
@@ -66,6 +67,22 @@ def test_metrics_deterministic_reports():
     status2, rep2 = run_command("metrics", cfg)
     assert status1 == status2 == 0
     assert strip_runtime(rep1) == strip_runtime(rep2)
+
+
+def test_metrics_row_inverts_one_element(monkeypatch):
+    # one reduced pair per row: b**-1 is the only inverse taken, whatever
+    # the uniform, sandwich and pointwise columns read
+    original = TildeElement.inverse
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(TildeElement, "inverse", counted)
+    rows = cli.cmd_metrics({"level": "6", "window": "8", "count": "1", "seed": "3"})
+    assert len(rows) == 1 and rows[0]["pass"]
+    assert len(calls) == 1
 
 
 def test_metrics_requires_seed():

@@ -1,5 +1,6 @@
 """Tests for the semidirect-product group, its action, and its metrics."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -16,18 +17,20 @@ from randlab.corpus import (
     rand_tilde_perm,
 )
 from randlab.dyadic import DyadicMPT
-from randlab.errors import DegenerateSpace, MismatchedSpace, NotDiscrete
+from randlab.errors import BadBudget, DegenerateSpace, MismatchedSpace, NotDiscrete, RandlabError
 from randlab.groups import E, WindowPerm, parse_cycles
 from randlab.spaces import discrete_space, isometry_group, space_identity
-from randlab.stepfn import StepFn, dhat
+from randlab.stepfn import StepFn, dhat, value_kind
 from randlab.tilde import (
     TildeElement,
+    enumerate_test_functions,
     format_tilde,
     lu_bounds,
     lu_estimate,
     lu_exact_discrete,
     parse_tilde,
     pointwise_metric,
+    reduce_pair,
     tilde_act,
     tilde_identity,
 )
@@ -39,6 +42,9 @@ def test_uniform_metrics_refuse_a_fiber_of_mixed_kinds(uniform):
     a = TildeElement(StepFn(1, (E, 3)), DyadicMPT.identity(1))
     with pytest.raises(MismatchedSpace):
         uniform(a, tilde_identity(E, 1))
+    # as the inverted operand too: the kinds are checked before inverting
+    with pytest.raises(MismatchedSpace):
+        uniform(tilde_identity(E, 1), a)
 
 
 def test_product_trivial_cases():
@@ -271,3 +277,134 @@ def test_action_rejects_points_outside_the_space():
         tilde_act(iso, StepFn.constant(7, 1))
     with pytest.raises(MismatchedSpace):
         tilde_act(perm, StepFn.constant("x", 1))
+
+
+@pytest.mark.parametrize("point", [-1, True])
+def test_permutation_action_refuses_negative_and_bool_points(point):
+    perm = TildeElement(StepFn.constant(WindowPerm([1, 2, 0]), 1), DyadicMPT.identity(1))
+    with pytest.raises(MismatchedSpace):
+        tilde_act(perm, StepFn(0, (point,)))
+    with pytest.raises(MismatchedSpace):
+        tilde_act(perm, StepFn(1, (0, point)))
+
+
+def test_action_checks_every_point():
+    space = equilateral_space(3)
+    iso = TildeElement(StepFn.constant(isometry_group(space)[1], 1), DyadicMPT.identity(1))
+    perm = TildeElement(StepFn.constant(parse_cycles("(0 1)"), 1), DyadicMPT.identity(1))
+    # the first interval's point is fine; the one at interval 1 is not
+    for a, alpha in ((iso, StepFn(1, (0, 7))), (perm, StepFn(1, (0, "x")))):
+        with pytest.raises(MismatchedSpace):
+            tilde_act(a, alpha)
+        with pytest.raises(MismatchedSpace):
+            reduce_pair(a, a).act(alpha)
+
+
+def test_space_lookup_of_a_foreign_point_is_a_mismatched_space():
+    space = equilateral_space(3)
+    assert [space.index(p) for p in space.points] == [0, 1, 2]
+    for lookup in (lambda: space.index(7), lambda: space.d(0, 7), lambda: space.d([], 0)):
+        with pytest.raises(MismatchedSpace):
+            lookup()
+
+
+def test_budgets_out_of_range_are_typed_errors():
+    rng = random.Random(61)
+    a, b = rand_tilde_perm(rng, 2, 5), rand_tilde_perm(rng, 2, 5)
+    for call in (
+        lambda: lu_estimate(a, b, budget=0),
+        lambda: pointwise_metric(a, b, budget=-1),
+        lambda: pointwise_metric(a, b, budget=1.5),
+    ):
+        with pytest.raises(BadBudget, match="budget") as info:
+            call()
+        assert isinstance(info.value, RandlabError) and isinstance(info.value, ValueError)
+    assert pointwise_metric(a, b, budget=0) == 0
+
+
+# -- the reduced pair against the two-sided formulas ---------------------------
+
+SPACE = equilateral_space(3)
+GROUP = isometry_group(SPACE)
+
+
+def two_action_pointwise(a, b, budget):
+    """The pointwise metric as ``dhat(a alpha, b alpha)``: two actions per
+    test function, no reduction."""
+    v = a.f.values[0]
+    kind = value_kind(v)
+    metric = kind.point_metric(v)
+    tests = itertools.islice(enumerate_test_functions(kind.marked_points(v)), budget)
+    return sum(
+        (dhat(tilde_act(a, al), tilde_act(b, al), metric) / 2 ** (m + 1)
+         for m, al in enumerate(tests)),
+        F(0),
+    )
+
+
+def sandwich(a, b):
+    """(lower, upper) of the sandwich from ``b**-1 a`` at its own levels."""
+    c = b.inverse() * a
+    v = c.f.values[0]
+    kind = value_kind(v)
+    ident = kind.identity(v)
+    moving = c.aut_support().measure
+    m = max(c.f.level, c.t.level)
+    f, t = c.f.refine(m), c.t.refine(m)
+    fixed = sum(
+        (kind.du(h, ident) for i, h in enumerate(f.values) if t.perm[i] == i), F(0)
+    ) / 2 ** m
+    return kind.diameter(v) / 8 * moving + fixed, moving + fixed
+
+
+@st.composite
+def drawn_pairs(draw):
+    """A pair over either fiber kind; each fiber and map level is drawn on
+    its own in 0..7, and ``b`` is sometimes ``a`` or the identity."""
+    isometric = draw(st.booleans())
+    fa, ta, fb, tb = draw(st.tuples(*[st.integers(0, 7)] * 4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def element(f_level, t_level):
+        if isometric:
+            fiber = rand_step_isometry(rng, f_level, GROUP)
+        else:
+            fiber = rand_step_perm(rng, f_level, 6)
+        return TildeElement(fiber, rand_mpt(rng, t_level))
+
+    a = element(fa, ta)
+    b = draw(st.sampled_from(("drawn", "a", "identity")))
+    if b == "drawn":
+        b = element(fb, tb)
+    elif b == "a":
+        b = a
+    else:
+        b = tilde_identity(space_identity(SPACE) if isometric else E, fb)
+    return a, b
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(drawn_pairs(), st.integers(0, 24), st.integers(0, 99))
+def test_reduced_pair_matches_the_two_sided_formulas(ab, budget, seed):
+    a, b = ab
+    r = reduce_pair(a, b)
+    assert r.c.same_element(b.inverse() * a)
+    assert r.pointwise_metric(budget) == two_action_pointwise(a, b, budget)
+    assert pointwise_metric(a, b, budget=budget) == r.pointwise_metric(budget)
+    bounds = r.lu_bounds()
+    assert (bounds.lower, bounds.upper) == sandwich(a, b)
+    assert lu_bounds(a, b) == bounds
+    est = r.lu_estimate(4, seed)
+    assert lu_estimate(a, b, budget=4, seed=seed) == est
+    assert (est.lower, est.upper) == (bounds.lower, bounds.upper)
+    metric = value_kind(a.f.values[0]).point_metric(a.f.values[0])
+    assert est.value == max(
+        dhat(tilde_act(a, w), tilde_act(b, w), metric) for w in r.witnesses(4, seed)
+    )
+    if r.kind.discrete:
+        c = b.inverse() * a
+        exact = c.fiber_support().union(c.aut_support()).measure
+        assert r.lu_exact_discrete() == lu_exact_discrete(a, b) == exact == est.value
+    else:
+        with pytest.raises(NotDiscrete):
+            r.lu_exact_discrete()
