@@ -314,21 +314,14 @@ class TowerData:
     """A tower for a transformation, stored as its columns, and a leftover.
 
     Each column is ``(b, T b, ..., T**(height-1) b)`` for a base interval
-    ``b``, and the columns are sorted by base.  ``periodic_map`` follows
-    the transformation up each column, sends column tops back to their
-    bases, and permutes the leftover in index-order groups of ``height``.
-    When the leftover count is not a multiple of the height the remainder
-    is left fixed and ``periodic_exact`` is False (the map still has period
-    dividing ``height`` everywhere it was regrouped).
+    ``b``, and the columns are sorted by base.  The columns and the
+    leftover partition the ``2**level`` intervals.
     """
 
     columns: tuple[tuple[int, ...], ...]
     height: int
     level: int
     leftover: DyadicSet
-    periodic_map: DyadicMPT
-    periodic_exact: bool
-    requested_bound: Fraction
 
     @property
     def base(self) -> DyadicSet:
@@ -337,8 +330,9 @@ class TowerData:
     def covered(self) -> DyadicSet:
         return DyadicSet._of(self.level, frozenset(p for c in self.columns for p in c))
 
-    def validate(self, t: DyadicMPT) -> None:
-        """Enumeration checks of every tower postcondition; raises on failure."""
+    def validate(self, t: DyadicMPT, bound: Fraction) -> None:
+        """Enumeration checks that this is a tower for ``t`` with leftover
+        measure at most ``bound``; raises on the first that fails."""
         image = t.refine(self.level).perm
         if any(len(c) != self.height for c in self.columns):
             raise CertificateError("tower has the wrong number of levels")
@@ -355,16 +349,8 @@ class TowerData:
             raise CertificateError("leftover meets the tower")
         if covered | self.leftover.members != set(range(2 ** self.level)):
             raise CertificateError("coverage gap")
-        if self.leftover.measure > self.requested_bound:
+        if self.leftover.measure > bound:
             raise CertificateError("leftover exceeds the requested bound")
-        # periodic map invariants
-        s0 = self.periodic_map
-        if self.periodic_exact:
-            if any(len(c) != self.height for c in s0.cycles(include_fixed=True)):
-                raise CertificateError("periodic map has a cycle of the wrong length")
-        bound = self.requested_bound + Fraction(1, self.height)
-        if delta_u(t, s0) > bound:
-            raise CertificateError("periodic approximation too far")
 
 
 def _blocks(points: Iterable[int], height: int) -> list[tuple[int, ...]]:
@@ -392,30 +378,24 @@ def rokhlin_tower(t: DyadicMPT, height: int, bound: Fraction) -> TowerData:
         raise NotAperiodic(
             f"cycle of length {len(short[0])} < height {height} at interval {short[0][0]}"
         )
-    n = 2 ** t.level
     columns: list[tuple[int, ...]] = []
     leftover: list[int] = []
     for cyc in cycles:
         full = (len(cyc) // height) * height
         columns.extend(tuple(cyc[start:start + height]) for start in range(0, full, height))
         leftover.extend(cyc[full:])
-    leftover_measure = Fraction(len(leftover), n)
+    leftover_measure = Fraction(len(leftover), 2 ** t.level)
     if leftover_measure > bound:
         raise TowerTooCoarse(
             f"achievable leftover {leftover_measure} exceeds bound {bound}"
         )
-    # group the leftover into height-cycles in index order
-    s0 = DyadicMPT(t.level, perm.close_cycles(range(n), columns + _blocks(leftover, height)))
     tower = TowerData(
         columns=tuple(sorted(columns)),
         height=height,
         level=t.level,
         leftover=DyadicSet(t.level, frozenset(leftover)),
-        periodic_map=s0,
-        periodic_exact=len(leftover) % height == 0,
-        requested_bound=bound,
     )
-    tower.validate(t)
+    tower.validate(t, bound)
     return tower
 
 
@@ -429,18 +409,30 @@ class PeriodicApproximation:
     exact_tower: TowerData    # tower for s0 with empty leftover
     distance: Fraction        # delta_u(original, s0)
 
+    def validate(self, bound: Fraction) -> None:
+        """Checks that every cycle of ``s0`` is one column of the exact
+        tower and that ``distance <= bound + 1/height``; raises on the
+        first that fails."""
+        self.exact_tower.validate(self.s0, ZERO)
+        # s0 climbs each column, so closing it makes the column one cycle
+        image = self.s0.perm
+        if any(image[c[-1]] != c[0] for c in self.exact_tower.columns):
+            raise CertificateError("periodic map leaves a column open")
+        if self.distance > bound + Fraction(1, self.height):
+            raise CertificateError("periodic approximation too far")
+
 
 def periodic_approximation(
     t: DyadicMPT, height: int, bound: Fraction
 ) -> PeriodicApproximation:
     """Approximate ``t`` by a map whose cycles all have length ``height``.
 
-    The approximation follows ``t`` except on column tops (sent back to
-    their bases) and on the leftover (regrouped in index order), with
-    ``delta_u(t, s0) <= bound + 1/height`` checked exactly when the tower
-    is validated.  Its cycles are the columns of the tower for ``t`` and
-    the regrouped leftover blocks, which together are the columns of a
-    tower for ``s0`` covering all of [0,1).
+    The covering columns are those of the tower for ``t`` (leftover at
+    most ``bound``) and the leftover cut into index-order blocks of
+    ``height``; ``s0`` closes each of them into one cycle, so it follows
+    ``t`` except on column tops, which go back to their bases, and on the
+    leftover.  The returned approximation is validated against ``bound``,
+    so ``delta_u(t, s0) <= bound + 1/height`` holds exactly.
 
     Only heights dividing the interval count admit exact period maps: the
     leftover count is congruent to ``2**level`` mod ``height``, so a height
@@ -462,23 +454,16 @@ def periodic_approximation(
             f"{t.level}, so every cycle is shorter"
         )
     tower = rokhlin_tower(t, height, bound)
-    if not tower.periodic_exact:  # count is 2**level mod height == 0
-        raise CertificateError("leftover not regrouped into exact cycles")
-    s0 = tower.periodic_map
-    blocks = _blocks(tower.leftover.members, height)
+    columns = tuple(sorted(tower.columns + tuple(_blocks(tower.leftover.members, height))))
+    s0 = DyadicMPT(t.level, perm.close_cycles(range(2 ** t.level), columns))
     exact_tower = TowerData(
-        columns=tuple(sorted(tower.columns + tuple(blocks))),
-        height=height,
-        level=t.level,
-        leftover=DyadicSet.empty(t.level),
-        periodic_map=s0,
-        periodic_exact=True,
-        requested_bound=ZERO,
+        columns=columns, height=height, level=t.level, leftover=DyadicSet.empty(t.level)
     )
-    exact_tower.validate(s0)
-    return PeriodicApproximation(
+    pa = PeriodicApproximation(
         s0=s0, height=height, tower=tower, exact_tower=exact_tower, distance=delta_u(t, s0)
     )
+    pa.validate(Fraction(bound))
+    return pa
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +479,15 @@ class ConjugacyMatch:
     height: int
 
 
-def _exact_conjugator(t0: DyadicMPT, s0: DyadicMPT) -> DyadicMPT:
-    """Permutation r with ``r**-1 * t0 * r == s0`` for equal cycle types."""
-    r = perm.conjugator(t0.perm, s0.perm)
+def _exact_conjugator(t: DyadicMPT, s: DyadicMPT) -> DyadicMPT | None:
+    """``r`` with ``r**-1 * t * r == s`` for two maps of one level, checked
+    on their perm tuples; None when the cycle types differ."""
+    r = perm.conjugator(t.perm, s.perm)
     if r is None:
-        raise CertificateError("cycle types differ")
-    return DyadicMPT(t0.level, r)
+        return None
+    if perm.compose(perm.invert(r), perm.compose(t.perm, r)) != s.perm:
+        raise CertificateError("exact conjugator misses")
+    return DyadicMPT(t.level, r)
 
 
 def mpt_conjugate_match(t: DyadicMPT, s: DyadicMPT, eps: Fraction) -> ConjugacyMatch:
@@ -516,13 +504,9 @@ def mpt_conjugate_match(t: DyadicMPT, s: DyadicMPT, eps: Fraction) -> ConjugacyM
         raise ValueError("eps must be positive")
     m = max(t.level, s.level)
     t, s = t.refine(m), s.refine(m)
-    exact = perm.conjugator(t.perm, s.perm)  # None: the cycle types differ
+    exact = _exact_conjugator(t, s)
     if exact is not None:
-        r = DyadicMPT(t.level, exact)
-        achieved = delta_u(t.conj(r), s)
-        if achieved != 0:
-            raise CertificateError("exact conjugator misses")
-        return ConjugacyMatch(r=r, achieved=achieved, height=0)
+        return ConjugacyMatch(r=exact, achieved=ZERO, height=0)
     max_n = min(t.min_cycle_length(), s.min_cycle_length(), 2 ** m)
     heights = []
     n = 1
@@ -541,6 +525,8 @@ def mpt_conjugate_match(t: DyadicMPT, s: DyadicMPT, eps: Fraction) -> ConjugacyM
         pa_t = periodic_approximation(t, n, ONE)
         pa_s = periodic_approximation(s, n, ONE)
         r = _exact_conjugator(pa_t.s0, pa_s.s0)
+        if r is None:
+            raise CertificateError("cycle types differ")
         achieved = delta_u(t.conj(r), s)
         if best is None or achieved < best.achieved:
             best = ConjugacyMatch(r=r, achieved=achieved, height=n)

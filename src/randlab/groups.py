@@ -78,7 +78,18 @@ class WindowPerm:
         return self._map
 
     def __call__(self, n: int) -> int:
-        return self._map[n] if n < len(self._map) else n
+        """Image of the point ``n``; a bool inside the window reads as its
+        int, and anything but a nonnegative int raises :class:`NotAnIndex`."""
+        m = self._map
+        try:
+            if 0 <= n < len(m):
+                return m[n]
+        except TypeError:
+            pass
+        else:
+            if type(n) is int and n >= 0:
+                return n
+        raise NotAnIndex(f"point {n!r} is not a nonnegative int")
 
     def support(self) -> frozenset[int]:
         return frozenset(n for n, i in enumerate(self._map) if i != n)

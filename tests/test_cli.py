@@ -109,6 +109,33 @@ def test_tower_command():
     assert "1/8" in rep
 
 
+TOWER_ROWS = [
+    (
+        {"mpt": "shift:10", "height": "32", "bound": "0"},
+        "tower-0,85dfbb8301d192a1,10,32,32,0/1,1/32,1/32,true",
+    ),
+    (
+        {"mpt": "cycle:7", "seed": "5", "height": "16", "bound": "1/8"},
+        "tower-0,80d8d06473165da2,7,16,8,0/1,1/16,3/16,true",
+    ),
+    # cycles (0 1 2)(3 4 5 6 7): leftover {2, 7} regrouped into one block
+    (
+        {"mpt": "mpt 3 1 2 0 4 5 6 7 3", "height": "2", "bound": "1/4"},
+        "tower-0,11115f0b1b602014,3,2,3,1/4,5/8,3/4,true",
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg,row", TOWER_ROWS, ids=["shift", "cycle", "leftover"])
+def test_tower_rows_are_pinned(cfg, row):
+    status, rep = run_command("tower", cfg)
+    assert status == 0
+    assert strip_runtime(rep).splitlines() == [
+        "experiment_id,digest,level,height,columns,leftover,distance,distance_bound,pass,runtime_s",
+        row,
+    ]
+
+
 def test_synthesize_certificates_jsonl():
     cfg = {
         "count": "1",

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from randlab import dyadic, perm
 from randlab.dyadic import (
     MAX_LEVEL,
     DyadicMPT,
     DyadicSet,
+    _exact_conjugator,
     delta_u,
     delta_u_prime,
     delta_w,
@@ -216,7 +218,7 @@ def test_tower_full_cycle_exact():
     tower = rokhlin_tower(DyadicMPT.shift(4), 4, F(0))
     assert len(tower.base.members) == 4
     assert tower.leftover.measure == 0
-    assert tower.periodic_exact
+    assert tower.columns == tuple(tuple(range(b, b + 4)) for b in range(0, 16, 4))
 
 
 def test_tower_full_cycle_with_leftover():
@@ -240,48 +242,68 @@ def test_tower_postconditions_random():
     for _ in range(20):
         t = rand_aperiodic_mpt(rng, 6, 8)
         tower = rokhlin_tower(t, 5, F(1, 2))
-        tower.validate(t)  # disjointness, coverage, measure bound
+        tower.validate(t, F(1, 2))  # disjointness, coverage, measure bound
 
 
 # shift(4) at height 3: columns (0 1 2) .. (12 13 14), leftover {15}
 CORRUPTED_TOWERS = {
     "short-column": (
         lambda tw: {"columns": ((0, 1),) + tw.columns[1:]},
+        F(1, 16),
         "wrong number of levels",
     ),
     "column-not-climbing": (
         lambda tw: {"columns": ((0, 2, 1),) + tw.columns[1:]},
+        F(1, 16),
         "levels must be T",
     ),
     "overlapping-columns": (
         lambda tw: {"columns": ((0, 1, 2), (1, 2, 3)) + tw.columns[1:]},
+        F(1, 16),
         "levels overlap",
     ),
     "leftover-meets-column": (
         lambda tw: {"leftover": DyadicSet(4, frozenset({0, 15}))},
+        F(1, 16),
         "leftover meets the tower",
     ),
-    "coverage-gap": (lambda tw: {"columns": tw.columns[:-1]}, "coverage gap"),
-    "leftover-above-bound": (
-        lambda tw: {"requested_bound": F(0)},
-        "leftover exceeds the requested bound",
-    ),
-    "periodic-map-too-far": (
-        lambda tw: {"periodic_map": DyadicMPT.identity(4)},
-        "periodic approximation too far",
-    ),
+    "coverage-gap": (lambda tw: {"columns": tw.columns[:-1]}, F(1, 16), "coverage gap"),
+    # a sound tower checked against a bound below its leftover
+    "leftover-above-bound": (lambda tw: {}, F(0), "leftover exceeds the requested bound"),
 }
 
 
 @pytest.mark.parametrize(
-    "corrupt,message", CORRUPTED_TOWERS.values(), ids=CORRUPTED_TOWERS.keys()
+    "corrupt,bound,message", CORRUPTED_TOWERS.values(), ids=CORRUPTED_TOWERS.keys()
 )
-def test_validate_names_each_broken_postcondition(corrupt, message):
+def test_validate_names_each_broken_postcondition(corrupt, bound, message):
     t = DyadicMPT.shift(4)
     tower = rokhlin_tower(t, 3, F(1, 16))
     assert tower.columns[0] == (0, 1, 2) and tower.leftover.members == {15}
     with pytest.raises(CertificateError, match=message):
-        dataclasses.replace(tower, **corrupt(tower)).validate(t)
+        dataclasses.replace(tower, **corrupt(tower)).validate(t, bound)
+
+
+# shift(4) at height 4 and bound 0: s0 closes (0 1 2 3) .. (12 13 14 15),
+# and its distance 1/4 is exactly the bound 0 + 1/4
+CORRUPTED_APPROXIMATIONS = {
+    "periodic-map-identity": ({"s0": DyadicMPT.identity(4)}, "levels must be T"),
+    # shift(4) itself climbs every column but sends each top to the next base
+    "periodic-map-open-column": ({"s0": DyadicMPT.shift(4)}, "leaves a column open"),
+    "periodic-map-too-far": ({"distance": F(5, 16)}, "periodic approximation too far"),
+}
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    CORRUPTED_APPROXIMATIONS.values(),
+    ids=CORRUPTED_APPROXIMATIONS.keys(),
+)
+def test_approximation_validate_names_each_broken_check(fields, message):
+    pa = periodic_approximation(DyadicMPT.shift(4), 4, F(0))
+    assert pa.s0.perm[3] == 0 and pa.distance == F(1, 4)
+    with pytest.raises(CertificateError, match=message):
+        dataclasses.replace(pa, **fields).validate(F(0))
 
 
 def test_periodic_approximation_full_cycle():
@@ -328,6 +350,101 @@ def test_exact_tower_covers_everything():
         pa = periodic_approximation(t, 8, F(1, 4))
         assert pa.exact_tower.leftover.measure == 0
         assert pa.exact_tower.covered().measure == 1
+
+
+def test_periodic_approximation_checks_once(monkeypatch):
+    # one cycle scan (of t, for its tower) and one distance per call
+    counts = {"delta_u": 0, "cycles": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(dyadic, "delta_u", counted("delta_u", dyadic.delta_u))
+    monkeypatch.setattr(perm, "cycles", counted("cycles", perm.cycles))
+    pa = periodic_approximation(DyadicMPT.shift(10), 32, F(0))
+    assert pa.distance == F(1, 32)
+    assert counts == {"delta_u": 1, "cycles": 1}
+
+
+@st.composite
+def aperiodic_maps(draw):
+    """A map at level 3..8 with no fixed interval, and its cycles as drawn."""
+    level = draw(st.integers(3, 8))
+    n = 2 ** level
+    order = draw(st.permutations(range(n)))
+    cycles, start = [], 0
+    while start < n:
+        rest = n - start
+        length = rest if rest < 4 else draw(st.integers(2, rest))
+        if rest - length == 1:
+            length = rest
+        cycles.append(order[start:start + length])
+        start += length
+    images = {}
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            images[a] = b
+    return DyadicMPT(level, tuple(images[i] for i in range(n))), cycles
+
+
+def approximation_oracle(t, cycles, height):
+    """``s0`` as a dict and the leftover, built without the tower code: each
+    cycle, read from its least point, is cut into columns of ``height``
+    whose tops go back to their bases; the rest is the leftover, closed
+    into blocks of ``height`` in index order."""
+    s0 = dict(enumerate(t.perm))
+    leftover = []
+    for cyc in cycles:
+        k = cyc.index(min(cyc))
+        cyc = cyc[k:] + cyc[:k]
+        full = len(cyc) - len(cyc) % height
+        for base in range(0, full, height):
+            s0[cyc[base + height - 1]] = cyc[base]
+        leftover += cyc[full:]
+    leftover.sort()
+    for k in range(0, len(leftover), height):
+        block = leftover[k:k + height]
+        for a, b in zip(block, block[1:] + block[:1]):
+            s0[a] = b
+    return s0, leftover
+
+
+@small
+@given(aperiodic_maps())
+def test_periodic_approximation_matches_the_oracle(drawn):
+    t, cycles = drawn
+    n = 2 ** t.level
+    height = 1
+    while height <= min(map(len, cycles)):
+        s0, leftover = approximation_oracle(t, cycles, height)
+        bound = F(len(leftover), n)
+        pa = periodic_approximation(t, height, bound)
+        assert pa.s0.perm == tuple(s0[i] for i in range(n))
+        assert pa.tower.leftover.members == set(leftover)
+        for start in range(n):
+            orbit = [start]
+            while len(orbit) <= height and s0[orbit[-1]] != start:
+                orbit.append(s0[orbit[-1]])
+            assert len(orbit) == height
+        differ = sum(1 for i in range(n) if s0[i] != t.perm[i])
+        assert pa.distance == F(differ, n) <= bound + F(1, height)
+        if leftover:
+            with pytest.raises(TowerTooCoarse):
+                periodic_approximation(t, height, bound - F(1, n))
+        height *= 2
+
+
+def test_exact_conjugator_certifies_its_tuple(monkeypatch):
+    t, s = DyadicMPT.shift(3), DyadicMPT.shift(3, 3)
+    assert _exact_conjugator(t, DyadicMPT.shift(3, 2)) is None  # 2+2 cycles vs 8
+    r = _exact_conjugator(t, s)
+    assert t.conj(r).perm == s.perm
+    monkeypatch.setattr(perm, "conjugator", lambda a, b: tuple(range(len(a))))
+    with pytest.raises(CertificateError, match="exact conjugator misses"):
+        _exact_conjugator(t, s)
 
 
 def test_conjugate_match_identical():

@@ -9,7 +9,13 @@ import pytest
 from randlab import groups
 from randlab.corpus import rand_pl, rand_window_perm
 from randlab.dyadic import DyadicMPT
-from randlab.errors import CertificateError, InsufficientCycles, NotInjective, ParseError
+from randlab.errors import (
+    CertificateError,
+    InsufficientCycles,
+    NotAnIndex,
+    NotInjective,
+    ParseError,
+)
 from randlab.groups import (
     E,
     MAX_WINDOW,
@@ -57,6 +63,20 @@ def test_dp_bounded_by_du():
 def test_normalization_strips_trailing_fixed_points():
     assert WindowPerm((0, 1, 2)).window == 0
     assert WindowPerm((1, 0, 2, 3)) == WindowPerm((1, 0))
+
+
+@pytest.mark.parametrize("point", [-1, -5, 1.0, 0.5, F(1), "0", None, 7.0])
+def test_window_perm_refuses_points_that_are_not_nonnegative_ints(point):
+    g = WindowPerm([1, 2, 0])
+    assert [g(0), g(2), g(3), g(10 ** 30)] == [1, 0, 3, 10 ** 30]
+    with pytest.raises(NotAnIndex):
+        g(point)
+
+
+def test_window_perm_reads_a_bool_only_inside_its_window():
+    assert [WindowPerm([1, 2, 0])(b) for b in (False, True)] == [1, 2]
+    with pytest.raises(NotAnIndex):
+        WindowPerm()(True)
 
 
 def test_generic_surrogate_census():

@@ -35,23 +35,22 @@ def test_verify_passes_under_optimize(tmp_path):
 
 
 def test_failed_postcondition_raises_under_optimize():
-    # a tower whose periodic map is swapped for the identity: its cycles no
-    # longer have the tower's height
+    # an approximation whose periodic map is swapped for the identity: the
+    # identity does not climb the columns of the exact tower
     proc = run_optimized(
         "import dataclasses\n"
         "from fractions import Fraction\n"
-        "from randlab.dyadic import DyadicMPT, rokhlin_tower\n"
+        "from randlab.dyadic import DyadicMPT, periodic_approximation\n"
         "from randlab.errors import CertificateError\n"
-        "t = DyadicMPT.shift(4)\n"
-        "tower = rokhlin_tower(t, 4, Fraction(0))\n"
-        "bad = dataclasses.replace(tower, periodic_map=DyadicMPT.identity(4))\n"
+        "pa = periodic_approximation(DyadicMPT.shift(4), 4, Fraction(0))\n"
+        "bad = dataclasses.replace(pa, s0=DyadicMPT.identity(4))\n"
         "try:\n"
-        "    bad.validate(t)\n"
+        "    bad.validate(Fraction(0))\n"
         "except CertificateError as exc:\n"
         "    print('CertificateError:', exc)\n"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("CertificateError: periodic map")
+    assert proc.stdout.startswith("CertificateError: levels must be T^k(base)")
 
 
 def test_window_match_postcondition_raises_under_optimize():
