@@ -17,18 +17,23 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 
+_identity: list[int] = []  # pads a narrower ``a``; compose extends it on demand
+
+
 def compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """``a`` after ``b``: ``i -> a[b[i]]``, as wide as the wider operand.
 
-    Every image is taken from ``a`` or ``b`` rather than padded out with new
-    ints, so products of wide permutations share their int objects.
+    Every image is an object of ``a``, of ``b`` or of the one identity list
+    that pads a narrower ``a``, never a new int, so products of wide
+    permutations share their int objects.
     """
-    n = len(a)
-    if len(b) > n:
-        return tuple(a[j] if j < n else j for j in b)
-    if len(b) < 2:  # itemgetter returns a bare item for one index
-        return tuple(a[j] for j in b) + tuple(a[len(b):])
-    return itemgetter(*b)(a) + tuple(a[len(b):])
+    n, w = len(a), len(b)
+    if w > n:
+        _identity.extend(range(len(_identity), w))
+        a = [*a, *_identity[n:w]]
+    if w < 2:  # itemgetter returns a bare item for one index
+        return tuple(a[j] for j in b) + tuple(a[w:])
+    return itemgetter(*b)(a) + tuple(a[w:])
 
 
 def invert(p: Sequence[int]) -> tuple[int, ...]:

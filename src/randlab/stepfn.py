@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from . import perm
@@ -135,13 +136,25 @@ class StepFn:
         )
 
     def map(self, fn) -> "StepFn":
-        return StepFn(self.level, tuple(fn(v) for v in self.values))
+        """``fn`` of every value.  ``fn`` runs once per distinct value
+        object and its result is shared, so it must be pure."""
+        return StepFn(self.level, _per_object(fn, self.values))
 
     def precompose(self, t: DyadicMPT) -> "StepFn":
         """The step function ``omega -> self(t(omega))``."""
         m = max(self.level, t.level)
         f, tt = self.refine(m), t.refine(m)
         return StepFn(m, tuple(f.values[tt.perm[i]] for i in range(2 ** m)))
+
+
+def _per_object(fn, *columns) -> tuple:
+    """``tuple(map(fn, *columns))`` with ``fn`` applied once per distinct
+    tuple of argument objects.  The columns keep every object alive while
+    this runs, so their ids are stable keys."""
+    keys = list(zip(*(map(id, c) for c in columns)))
+    args = dict(zip(keys, zip(*columns)))
+    images = {k: fn(*a) for k, a in args.items()}
+    return tuple(map(images.__getitem__, keys))
 
 
 def zip_values(f: StepFn, h: StepFn):
@@ -179,9 +192,11 @@ def dhat(f: StepFn, h: StepFn, metric: Metric) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def l0_mul(f: StepFn, h: StepFn) -> StepFn:
+    """The pointwise product, multiplying each distinct pair of value
+    objects once and sharing the product between its intervals."""
     _check_same_kind(f, h)
     m, fv, hv = zip_values(f, h)
-    return StepFn(m, tuple(a * b for a, b in zip(fv, hv)))
+    return StepFn(m, _per_object(mul, fv, hv))
 
 
 # ---------------------------------------------------------------------------

@@ -497,12 +497,14 @@ def conjugate_into_neighborhood(
         k, DyadicMPT.identity(level)
     )
     conjugated = TildeElement(StepFn.constant(g_base, 0), t_generic).conj(conjugator)
+    fib = tuple(target.fiber_residuals(conjugated.f))
+    aut = tuple(target.aut_residuals(conjugated.t))
     return ConjugationOutcome(
         conjugator=conjugator,
         conjugated=conjugated,
-        member=target.contains(conjugated),
-        fiber_residuals=tuple(target.fiber_residuals(conjugated.f)),
-        aut_residuals=tuple(target.aut_residuals(conjugated.t)),
+        member=target.admits(fib, aut),
+        fiber_residuals=fib,
+        aut_residuals=aut,
     )
 
 

@@ -152,14 +152,16 @@ class ProductNbhd:
             for s, _ in self.set_conditions
         ]
 
-    def contains(self, x: TildeElement) -> bool:
-        fib = self.fiber_residuals(x.f)
-        aut = self.aut_residuals(x.t)
+    def admits(self, fib: Sequence[Fraction], aut: Sequence[Fraction]) -> bool:
+        """Whether every residual the two methods above compute is below its bound."""
         return all(
             r < bound for r, (_, bound) in zip(fib, self.value_conditions)
         ) and all(
             r < bound for r, (_, bound) in zip(aut, self.set_conditions)
         )
+
+    def contains(self, x: TildeElement) -> bool:
+        return self.admits(self.fiber_residuals(x.f), self.aut_residuals(x.t))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +233,7 @@ class ReducedPair:
         r = kind.diameter(v0)
         ident = kind.identity(v0)
         n = 2 ** self.level
-        dists = [kind.du(v, ident) for v in self.f.values]
+        dists = self.f.map(lambda v: kind.du(v, ident)).values
         fixed = [i == j for i, j in enumerate(self.t.perm)]
         moving = Fraction(fixed.count(False), n)
         fixed_integral = exact_sum(itertools.compress(dists, fixed)) / n

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randlab.corpus import (
     equilateral_space,
@@ -12,8 +14,8 @@ from randlab.corpus import (
     rand_window_perm,
 )
 from randlab.errors import MismatchedSpace, NotConverging, Unmatchable
-from randlab.groups import E, generic_surrogate, parse_cycles, perm_dp, perm_du
-from randlab.spaces import isometry_group
+from randlab.groups import E, WindowPerm, generic_surrogate, parse_cycles, perm_dp, perm_du
+from randlab.spaces import SpaceIsometry, isometry_group
 from randlab.stepfn import (
     StepFn,
     constant_generic_conjugator,
@@ -22,6 +24,7 @@ from randlab.stepfn import (
     l0_mul,
     lsc_probe,
     parse_step,
+    zip_values,
 )
 
 
@@ -93,6 +96,50 @@ def test_group_ops():
     a, b = rand_step_perm(rng, 1, 6), rand_step_perm(rng, 1, 6)
     prod = l0_mul(a, b)
     assert prod.values == tuple(x * y for x, y in zip(a.values, b.values))
+
+
+def _value_pool(values, copy):
+    """``values`` and an equal but distinct copy of each."""
+    return [*values, *map(copy, values)]
+
+
+_triangle = isometry_group(equilateral_space(3))
+value_pools = [
+    _value_pool(
+        [parse_cycles("(0 1)"), parse_cycles("(0 2 1)(3 4)"), E],
+        lambda v: WindowPerm(v.images),
+    ),
+    _value_pool(_triangle[:3], lambda v: SpaceIsometry(v.space, v.mapping)),
+]
+
+
+def fibers(pool):
+    return st.integers(0, 3).flatmap(
+        lambda lev: st.lists(
+            st.sampled_from(pool), min_size=2 ** lev, max_size=2 ** lev
+        ).map(lambda vs: StepFn(lev, tuple(vs)))
+    )
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(value_pools).flatmap(lambda pool: st.tuples(fibers(pool), fibers(pool))))
+def test_map_and_l0_mul_match_the_elementwise_definition(fh):
+    f, h = fh
+    assert f.map(lambda v: v.inverse()).values == tuple(v.inverse() for v in f.values)
+    m, fv, hv = zip_values(f, h)
+    prod = l0_mul(f, h)
+    assert (prod.level, prod.values) == (m, tuple(a * b for a, b in zip(fv, hv)))
+    assert len(set(map(id, prod.values))) == len(set(zip(map(id, fv), map(id, hv))))
+
+
+def test_l0_mul_of_two_constants_multiplies_once(monkeypatch):
+    calls = []
+    mul = WindowPerm.__mul__
+    monkeypatch.setattr(WindowPerm, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    g, h = parse_cycles("(0 1 2)"), parse_cycles("(1 5)")
+    prod = l0_mul(StepFn.constant(g, 9), StepFn.constant(h, 8))
+    assert len(calls) == 1
+    assert prod.same_function(StepFn.constant(g * h))
 
 
 def test_two_isometry_valued_dhat():

@@ -58,8 +58,11 @@ def naive_compose(a, b):
     return out + tuple(a[len(b):]) if len(a) > len(b) else out
 
 
+wide_perms = st.integers(0, 600).flatmap(lambda n: st.permutations(range(n))).map(tuple)
+
+
 @small
-@given(perms, perms)
+@given(wide_perms, wide_perms)
 @example((), ())
 @example((0,), ())
 @example((), (0,))
@@ -70,7 +73,15 @@ def naive_compose(a, b):
 @example((2, 0, 1), (1, 0))
 @example((1, 0), (2, 0, 1))
 def test_compose_matches_naive_oracle(a, b):
-    assert perm.compose(a, b) == naive_compose(a, b)
+    # one operand wider than every earlier call makes the identity pad grow
+    wider = tuple(reversed(range(len(perm._identity) + 3)))
+    for x, y in ((a, b), (b, a), (a, perm.invert(a)), ((), wider), (a, wider), (wider, b)):
+        out = perm.compose(x, y)
+        assert out == naive_compose(x, y)
+        # images past the small-int cache are objects of x, y or the pad
+        shared = set(map(id, (*x, *y, *perm._identity)))
+        assert all(id(i) in shared for i in out if i > 256)
+    assert len(perm._identity) >= len(wider)
 
 
 @small

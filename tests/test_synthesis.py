@@ -326,6 +326,22 @@ def test_conjugate_into_neighborhood_full_target():
     assert all(r == 0 for r in out.fiber_residuals)
 
 
+def test_conjugate_into_neighborhood_measures_residuals_once(monkeypatch):
+    rng = random.Random(29)
+    g = cycle_pack({32 * j: 1 for j in range(1, 6)})
+    t_gen = rand_cycle_type(rng, 8, [32] * 8)
+    t_c = rand_cycle_type(rng, 8, [32] * 8)
+    target = make_target(rng, g, 8, t_c, marked=(0, 1), eps=F(1, 8))
+    calls = []
+    residuals = ProductNbhd.fiber_residuals
+    monkeypatch.setattr(
+        ProductNbhd, "fiber_residuals", lambda nb, f: calls.append(1) or residuals(nb, f)
+    )
+    out = conjugate_into_neighborhood(g, t_gen, target)
+    assert len(calls) == 1
+    assert out.member == target.contains(out.conjugated)
+
+
 def test_conjugate_into_neighborhood_spec_example_budget():
     # generic surrogate budget at level 8 with one marked point
     rng = random.Random(31)

@@ -36,6 +36,17 @@ from randlab.tilde import (
 )
 
 
+def test_inverse_of_a_constant_fiber_inverts_one_value(monkeypatch):
+    calls = []
+    inverse = WindowPerm.inverse
+    monkeypatch.setattr(WindowPerm, "inverse", lambda v: calls.append(1) or inverse(v))
+    h = parse_cycles("(0 3 5)(1 2)")
+    t = rand_mpt(random.Random(5), 9)
+    inv = TildeElement(StepFn.constant(h, 9), t).inverse()
+    assert len(calls) == 1
+    assert inv.f.same_function(StepFn.constant(inverse(h), 9))
+
+
 @pytest.mark.parametrize("uniform", [lu_bounds, lu_exact_discrete])
 def test_uniform_metrics_refuse_a_fiber_of_mixed_kinds(uniform):
     # the first value is a permutation, so only the full check sees the int
